@@ -1,8 +1,9 @@
 """Federated training of a text-conditioned prompt generator on synthetic embeddings.
 
 The package simulates the full pipeline at desk scale: a frozen embedding
-world stands in for the vision/text encoders, a small cross-attention
-network generates prompt context vectors from class-name embeddings, and
+world stands in for the vision/text encoders, a small prompt generator
+turns each class-name embedding into context vectors (a query bank, one
+value update and a gated feed-forward; see translator), and
 disjoint-class clients train it jointly through federated averaging.
 Everything is float64 and bitwise deterministic for a fixed seed.
 
@@ -47,7 +48,6 @@ from fedprompt.reporting import (
 from fedprompt.seeding import hash64, rng_for
 from fedprompt.translator import (
     TranslatorConfig,
-    generate_context,
     init_translator_params,
     translator_schema,
 )
@@ -91,7 +91,6 @@ __all__ = [
     "evaluate",
     "evaluate_both_splits",
     "fedavg",
-    "generate_context",
     "grad_check",
     "hash64",
     "init_translator_params",

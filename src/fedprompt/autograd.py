@@ -211,12 +211,6 @@ def add(a: DiffNode, b: DiffNode) -> DiffNode:
     return DiffNode(a.value.data + b.value.data, (a, b), lambda g: (g, g), op="add")
 
 
-def sub(a: DiffNode, b: DiffNode) -> DiffNode:
-    a, b = _as_node(a), _as_node(b)
-    _need_same_shape(a, b, "sub")
-    return DiffNode(a.value.data - b.value.data, (a, b), lambda g: (g, -g), op="sub")
-
-
 def scale(a: DiffNode, s: float) -> DiffNode:
     a = _as_node(a)
     s = float(s)
@@ -237,38 +231,6 @@ def transpose(a: DiffNode) -> DiffNode:
     a = _as_node(a)
     _need_2d(a, "transpose")
     return DiffNode(a.value.data.T, (a,), lambda g: (g.T,), op="transpose")
-
-
-def slice_cols(a: DiffNode, start: int, stop: int) -> DiffNode:
-    a = _as_node(a)
-    _need_2d(a, "slice_cols")
-    n_cols = a.shape[1]
-    if not (0 <= start < stop <= n_cols):
-        raise DimensionError(f"slice_cols [{start}:{stop}] out of range for {a.shape}")
-
-    def rule(g):
-        full = np.zeros(a.shape)
-        full[:, start:stop] = g
-        return (full,)
-
-    return DiffNode(a.value.data[:, start:stop], (a,), rule, op="slice_cols")
-
-
-def concat_cols(parts: Sequence[DiffNode]) -> DiffNode:
-    parts = [_as_node(p) for p in parts]
-    if not parts:
-        raise DimensionError("concat_cols needs at least one part")
-    for p in parts:
-        _need_2d(p, "concat_cols")
-    rows = parts[0].shape[0]
-    if any(p.shape[0] != rows for p in parts):
-        raise DimensionError("concat_cols parts must share the row count")
-    widths = [p.shape[1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
-    value = np.concatenate([p.value.data for p in parts], axis=1)
-    return DiffNode(
-        value, tuple(parts), lambda g: tuple(np.split(g, splits, axis=1)), op="concat_cols"
-    )
 
 
 def concat_rows(parts: Sequence[DiffNode]) -> DiffNode:
@@ -326,22 +288,6 @@ def layer_norm(x: DiffNode, gain: DiffNode, bias: DiffNode) -> DiffNode:
         return dx, (g * y).sum(axis=0), g.sum(axis=0)
 
     return DiffNode(value, (x, gain, bias), rule, op="layer_norm")
-
-
-def softmax(x: DiffNode) -> DiffNode:
-    """Row-wise softmax with max subtraction for stability."""
-    x = _as_node(x)
-    _need_2d(x, "softmax")
-    xv = x.value.data
-    z = xv - xv.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def rule(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - inner),)
-
-    return DiffNode(y, (x,), rule, op="softmax")
 
 
 def _gelu_forward(x: np.ndarray) -> np.ndarray:

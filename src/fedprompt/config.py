@@ -89,12 +89,8 @@ KEYS: dict[str, Key] = {
                            "upper mixing weight for novel class centers"),
     "translator.n_ctx": Key(int, _default(TranslatorConfig, "n_ctx"),
                             "number of generated context vectors"),
-    "translator.n_heads": Key(int, _default(TranslatorConfig, "n_heads"),
-                              "attention heads"),
     "translator.ffn_mult": Key(int, _default(TranslatorConfig, "ffn_mult"),
                                "feed-forward expansion factor"),
-    "translator.kv_len": Key(int, _default(TranslatorConfig, "kv_len"),
-                             "key/value rows per class embedding"),
     "optimizer.lr0": Key(float, _default(OptimizerConfig, "lr0"),
                          "base learning rate before cosine annealing"),
     "optimizer.momentum": Key(float, _default(OptimizerConfig, "momentum"),
@@ -189,9 +185,7 @@ def build_config(values: dict[str, object]) -> ExperimentConfig:
     translator = TranslatorConfig(
         d_model=v["world.d"],
         n_ctx=v["translator.n_ctx"],
-        n_heads=v["translator.n_heads"],
         ffn_mult=v["translator.ffn_mult"],
-        kv_len=v["translator.kv_len"],
     )
     optimizer = OptimizerConfig(
         lr0=v["optimizer.lr0"],
@@ -237,9 +231,7 @@ def config_values(cfg: ExperimentConfig) -> dict[str, object]:
         "world.interp_lo": cfg.world.interp_lo,
         "world.interp_hi": cfg.world.interp_hi,
         "translator.n_ctx": cfg.translator.n_ctx,
-        "translator.n_heads": cfg.translator.n_heads,
         "translator.ffn_mult": cfg.translator.ffn_mult,
-        "translator.kv_len": cfg.translator.kv_len,
         "optimizer.lr0": cfg.optimizer.lr0,
         "optimizer.momentum": cfg.optimizer.momentum,
         "optimizer.weight_decay": cfg.optimizer.weight_decay,

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedprompt import autograd as ag
 from fedprompt.autograd import ParameterSet
 from fedprompt.errors import ConfigError, ContractError
+from fedprompt.federation import class_text_features
 from fedprompt.seeding import rng_for
-from fedprompt.translator import TranslatorConfig, translate_one
-from fedprompt.world import SyntheticWorld, sample_image, text_feature
+from fedprompt.translator import TranslatorConfig
+from fedprompt.world import SyntheticWorld, sample_image
 
 SPLITS = ("base", "new")
 
@@ -57,16 +57,7 @@ def class_features(
     With params None the context is all zeros, which reduces every
     feature to the raw class-name embedding: the zero-context baseline.
     """
-    rows = []
-    for class_id in class_ids:
-        emb = world.class_embedding(class_id)
-        if params is None:
-            ctx = ag.constant(np.zeros((trans_cfg.n_ctx, trans_cfg.d_model)))
-        else:
-            kv = np.repeat(emb, trans_cfg.kv_len, axis=0)
-            ctx = translate_one(params, trans_cfg, ag.constant(kv))
-        rows.append(text_feature(world.head, emb, ctx).value.data[0])
-    return np.stack(rows)
+    return class_text_features(params, trans_cfg, world, class_ids).value.numpy()
 
 
 def evaluate(

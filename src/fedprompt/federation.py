@@ -30,9 +30,9 @@ from fedprompt.world import SyntheticWorld, text_feature
 @dataclass(frozen=True)
 class OptimizerConfig:
     # temperature only shapes the training loss; accuracy is argmax and
-    # does not see it.  The default keeps the softmax soft enough that
-    # few-shot fitting pulls class features toward their sample means
-    # instead of stalling at the first separating margin.
+    # does not see it.  The default keeps the class probabilities soft
+    # enough that few-shot fitting pulls class features toward their
+    # sample means instead of stalling at the first separating margin.
     lr0: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 1e-5
@@ -90,6 +90,30 @@ class ClientUpdate:
     mean_loss: float
 
 
+def class_text_features(
+    params: ParameterSet | None,
+    trans_cfg: TranslatorConfig,
+    world: SyntheticWorld,
+    class_ids,
+) -> ag.DiffNode:
+    """Unit text features [len(class_ids), d], one row per class.
+
+    This is the one path from class id to text feature, used by training
+    and evaluation alike.  With params None the context is all zeros,
+    which reduces every feature to the raw class-name embedding: the
+    zero-context baseline.
+    """
+    feats = []
+    for class_id in class_ids:
+        emb = world.class_embedding(class_id)
+        if params is None:
+            ctx = ag.constant(np.zeros((trans_cfg.n_ctx, trans_cfg.d_model)))
+        else:
+            ctx = translate_one(params, trans_cfg, ag.constant(emb))
+        feats.append(text_feature(world.head, emb, ctx))
+    return ag.concat_rows(feats)
+
+
 def class_logits(
     params: ParameterSet,
     trans_cfg: TranslatorConfig,
@@ -99,14 +123,7 @@ def class_logits(
     temperature: float,
 ) -> ag.DiffNode:
     """Cosine-similarity logits of unit images against per-class features."""
-    feats = []
-    for class_id in class_ids:
-        emb = world.class_embedding(class_id)
-        # the class name is a single embedding row; longer kv windows tile it
-        kv = np.repeat(emb, trans_cfg.kv_len, axis=0)
-        ctx = translate_one(params, trans_cfg, ag.constant(kv))
-        feats.append(text_feature(world.head, emb, ctx))
-    feat_matrix = ag.concat_rows(feats)
+    feat_matrix = class_text_features(params, trans_cfg, world, class_ids)
     return ag.scale(ag.matmul(ag.constant(images), ag.transpose(feat_matrix)), 1.0 / temperature)
 
 
@@ -213,16 +230,6 @@ class RoundLog:
             "client_loss": {str(k): v for k, v in self.client_loss.items()},
         }
         return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json_line(line: str) -> "RoundLog":
-        payload = json.loads(line)
-        return RoundLog(
-            round=payload["round"],
-            lr=payload["lr"],
-            selected=list(payload["selected"]),
-            client_loss={int(k): v for k, v in payload["client_loss"].items()},
-        )
 
 
 def run_training(

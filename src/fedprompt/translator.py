@@ -1,10 +1,17 @@
-"""Cross-attention network that turns class-name embeddings into prompt
-context vectors.
+"""Prompt generator that turns a class-name embedding into context vectors.
 
-A fixed bank of learned query vectors attends over the embedding of one
-class name (a short key/value sequence, usually length one), then a gated
-feed-forward refines the result.  Both sublayers are pre-normalized with
-residual connections, so the block is well behaved at any weight scale.
+A fixed bank of learned query vectors takes one additive update from the
+class-name embedding, then a gated feed-forward refines the result under
+a pre-normalized residual connection.
+
+The update is what cross-attention of the queries over a single key row
+reduces to: with one key every attention weight is exactly 1, so every
+query receives the same value row e @ W_v, projected by W_o.  The block
+computes that directly as queries + (ones(n_ctx, 1) @ (e @ W_v)) @ W_o.
+It has no query or key projection, no heads and no attention weights,
+because with one key none of them can change the output or receive a
+gradient.  Attention over several keys, such as a task's whole set of
+class names, would be a different model.
 
 Parameter tensors have a fixed schema; see translator_schema().  The
 output projection and the second feed-forward matrix start at zero, which
@@ -13,7 +20,6 @@ equals the raw query bank until training moves the weights.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,22 +35,12 @@ QUERY_INIT_STD = 0.02
 class TranslatorConfig:
     d_model: int = 32
     n_ctx: int = 4
-    n_heads: int = 4
     ffn_mult: int = 4
-    kv_len: int = 1
 
     def __post_init__(self):
-        for field in ("d_model", "n_ctx", "n_heads", "ffn_mult", "kv_len"):
+        for field in ("d_model", "n_ctx", "ffn_mult"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be positive, got {getattr(self, field)}")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
 
     @property
     def d_ffn(self) -> int:
@@ -56,21 +52,13 @@ def translator_schema(cfg: TranslatorConfig) -> tuple[tuple[str, tuple[int, ...]
     d, m, f = cfg.d_model, cfg.n_ctx, cfg.d_ffn
     return (
         ("queries", (m, d)),
-        ("W_q", (d, d)),
-        ("W_k", (d, d)),
         ("W_v", (d, d)),
         ("W_o", (d, d)),
-        ("ln1_gain", (d,)),
-        ("ln1_bias", (d,)),
         ("ln2_gain", (d,)),
         ("ln2_bias", (d,)),
         ("ffn_in", (d, 2 * f)),
         ("ffn_out", (f, d)),
     )
-
-
-def translator_param_count(cfg: TranslatorConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in translator_schema(cfg))
 
 
 def init_translator_params(cfg: TranslatorConfig, seed: int) -> ParameterSet:
@@ -79,8 +67,8 @@ def init_translator_params(cfg: TranslatorConfig, seed: int) -> ParameterSet:
     Gaussian draws happen in schema declaration order so the mapping from
     seed to values is part of the format.  Queries use std 0.02, the
     projection matrices std 1/sqrt(d).  W_o and ffn_out start at zero so
-    the block is the identity on its residual stream; layer norm gains
-    start at one, biases at zero.
+    the block is the identity on its residual stream; the layer norm gain
+    starts at one, its bias at zero.
     """
     rng = rng_for(seed, "translator-init")
     d = cfg.d_model
@@ -89,79 +77,30 @@ def init_translator_params(cfg: TranslatorConfig, seed: int) -> ParameterSet:
     for name, shape in translator_schema(cfg):
         if name == "queries":
             value = rng.standard_normal(shape) * QUERY_INIT_STD
-        elif name in ("W_q", "W_k", "W_v"):
-            value = rng.standard_normal(shape) * w_std
-        elif name == "ffn_in":
+            # two [d, d] draws that once seeded query and key projections;
+            # skipping them would change W_v and ffn_in for every seed
+            rng.standard_normal((2, d, d))
+        elif name in ("W_v", "ffn_in"):
             value = rng.standard_normal(shape) * w_std
         elif name in ("W_o", "ffn_out"):
             value = np.zeros(shape)
         elif name.endswith("_gain"):
             value = np.ones(shape)
-        else:  # ln biases
+        else:  # ln bias
             value = np.zeros(shape)
         params.append(Parameter(name, value))
     return ParameterSet(params)
 
 
-def cross_attention(
-    params: ParameterSet, cfg: TranslatorConfig, queries_in: DiffNode, kv: DiffNode
-) -> DiffNode:
-    """Multi-head scaled dot-product attention of queries over one kv sequence.
-
-    queries_in is already normalized by the caller, and the caller adds
-    the residual; this computes softmax(QK^T / sqrt(d_head)) V per head,
-    concatenates the heads, and applies the output projection.
-    """
-    q = ag.matmul(queries_in, params["W_q"])
-    k = ag.matmul(kv, params["W_k"])
-    v = ag.matmul(kv, params["W_v"])
-    dh = cfg.d_head
-    heads = []
-    for i in range(cfg.n_heads):
-        lo, hi = i * dh, (i + 1) * dh
-        qh = ag.slice_cols(q, lo, hi)
-        kh = ag.slice_cols(k, lo, hi)
-        vh = ag.slice_cols(v, lo, hi)
-        scores = ag.scale(ag.matmul(qh, ag.transpose(kh)), 1.0 / np.sqrt(dh))
-        heads.append(ag.matmul(ag.softmax(scores), vh))
-    return ag.matmul(ag.concat_cols(heads), params["W_o"])
-
-
-def translate_one(params: ParameterSet, cfg: TranslatorConfig, kv: DiffNode) -> DiffNode:
-    """Context vectors for a single class; kv is [kv_len, d_model]."""
-    if kv.shape != (cfg.kv_len, cfg.d_model):
-        raise DimensionError(
-            f"kv must be ({cfg.kv_len}, {cfg.d_model}), got {kv.shape}"
-        )
-    q_in = ag.layer_norm(params["queries"], params["ln1_gain"], params["ln1_bias"])
-    u = ag.add(params["queries"], cross_attention(params, cfg, q_in, kv))
+def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: DiffNode) -> DiffNode:
+    """Context vectors [n_ctx, d_model] for one class; emb is [1, d_model]."""
+    if emb.shape != (1, cfg.d_model):
+        raise DimensionError(f"emb must be (1, {cfg.d_model}), got {emb.shape}")
+    # tile after W_v and before W_o; tiling the embedding before W_v
+    # rounds differently (about 1e-16) and shifts every trained result
+    value_row = ag.matmul(emb, params["W_v"])
+    tiled = ag.matmul(ag.constant(np.ones((cfg.n_ctx, 1))), value_row)
+    u = ag.add(params["queries"], ag.matmul(tiled, params["W_o"]))
     u_in = ag.layer_norm(u, params["ln2_gain"], params["ln2_bias"])
     ffn = ag.matmul(ag.geglu(ag.matmul(u_in, params["ffn_in"])), params["ffn_out"])
     return ag.add(u, ffn)
-
-
-@dataclass
-class ContextVectors:
-    """Per-class context produced by the translator; one graph node per item."""
-
-    items: list[DiffNode]
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def stacked(self) -> np.ndarray:
-        """Values as one [batch, n_ctx, d_model] array."""
-        return np.stack([node.value.data for node in self.items])
-
-
-def generate_context(
-    params: ParameterSet,
-    cfg: TranslatorConfig,
-    kv_batch: Sequence[np.ndarray],
-) -> ContextVectors:
-    """Run the translator over a batch of key/value sequences."""
-    items = []
-    for kv in kv_batch:
-        node = kv if isinstance(kv, DiffNode) else ag.constant(kv)
-        items.append(translate_one(params, cfg, node))
-    return ContextVectors(items)

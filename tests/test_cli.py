@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.cli import main
-from fedprompt.config import extract_round, load_config
-from fedprompt.container import load_checkpoint, load_embeddings_file
+from fedprompt.config import canonical_text, extract_round, load_config, with_round_marker
+from fedprompt.container import load_checkpoint, load_embeddings_file, save_checkpoint
 from fedprompt.translator import init_translator_params
 
 TINY = """\
@@ -171,6 +172,25 @@ class TestEval:
 
     def test_missing_checkpoint_flag(self, capsys):
         assert main(["eval"]) == 1
+
+    def test_checkpoint_with_attention_tensors_refused(self, tmp_path, capsys):
+        # layout written before the block lost its query/key projections,
+        # first layer norm and the translator.kv_len/n_heads keys
+        d, n_ctx, d_ffn = 16, 4, 64
+        shapes = {
+            "queries": (n_ctx, d), "W_q": (d, d), "W_k": (d, d), "W_v": (d, d),
+            "W_o": (d, d), "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,),
+            "ln2_bias": (d,), "ffn_in": (d, 2 * d_ffn), "ffn_out": (d_ffn, d),
+        }
+        params = ParameterSet([Parameter(name, np.zeros(shape)) for name, shape in shapes.items()])
+        echo = canonical_text(load_config(None, ["world.d=16"]))
+        echo += "translator.kv_len=1\ntranslator.n_heads=4\n"
+        ckpt = str(tmp_path / "old.ftpg")
+        save_checkpoint(ckpt, params, with_round_marker(echo, 50))
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", ckpt, "--out", str(out)]) == 1
+        assert "translator.kv_len" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

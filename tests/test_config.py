@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,13 @@ class TestDefaults:
     def test_every_key_documented(self):
         for key, spec in KEYS.items():
             assert spec.doc, f"{key} has no description"
+
+    def test_readme_table_matches_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]*)` \| (.+?) \|$", readme, flags=re.M)
+        table = {key: (default, doc) for key, default, doc in rows}
+        assert len(table) == len(rows), "README lists a key twice"
+        assert table == {key: (str(spec.default), spec.doc) for key, spec in KEYS.items()}
 
 
 class TestParsing:
@@ -105,6 +114,15 @@ class TestValidation:
     def test_translator_width_follows_world(self):
         cfg = build_config(apply_overrides(default_values(), ["world.d=16"]))
         assert cfg.translator.d_model == 16
+
+    def test_any_positive_width_builds(self):
+        # no head count constrains the width
+        assert load_config(None, ["world.d=30"]).translator.d_model == 30
+
+    def test_retired_attention_keys_unknown(self):
+        for key in ("translator.n_heads", "translator.kv_len"):
+            with pytest.raises(ConfigError, match=key):
+                load_config(None, [f"{key}=4"])
 
     def test_nonpositive_rounds_rejected(self):
         with pytest.raises(ConfigError, match="rounds"):

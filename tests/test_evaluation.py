@@ -12,10 +12,11 @@ from fedprompt.evaluation import (
     generalization_gap,
     split_class_ids,
 )
+from fedprompt.federation import class_logits
 from fedprompt.translator import TranslatorConfig, init_translator_params
 from fedprompt.world import WorldConfig, build_world
 
-TRANS = TranslatorConfig(d_model=16, n_ctx=2, n_heads=2, ffn_mult=2)
+TRANS = TranslatorConfig(d_model=16, n_ctx=2, ffn_mult=2)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,15 @@ class TestFeatures:
         params = init_translator_params(TRANS, 11)
         feats = class_features(params, world, TRANS, [0, 3, 12])
         assert np.allclose(np.linalg.norm(feats, axis=1), 1.0, rtol=0, atol=1e-9)
+
+    def test_training_logits_use_eval_features(self, world):
+        params = init_translator_params(TRANS, 12)
+        params["W_o"].set_value(np.random.default_rng(0).standard_normal((16, 16)))
+        ids = [1, 4, 7]
+        images = np.stack([world.center(c) for c in ids])
+        logits = class_logits(params, TRANS, world, ids, images, 0.5).value.data
+        feats = class_features(params, world, TRANS, ids)
+        assert np.allclose(logits, images @ feats.T / 0.5, rtol=0, atol=1e-12)
 
 
 class TestBothSplits:

@@ -1,5 +1,7 @@
 """Tests for the optimizer, aggregation, and the federated loop."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from fedprompt.seeding import rng_for
 from fedprompt.translator import TranslatorConfig, init_translator_params
 from fedprompt.world import WorldConfig, build_world
 
-TRANS = TranslatorConfig(d_model=16, n_ctx=2, n_heads=2, ffn_mult=2)
+TRANS = TranslatorConfig(d_model=16, n_ctx=2, ffn_mult=2)
 OPT = OptimizerConfig(lr0=0.05, temperature=0.5, batch_size=4)
 
 
@@ -232,8 +234,10 @@ class TestRunTraining:
 
     def test_round_log_json_round_trip(self):
         log = RoundLog(3, 0.0015, [0, 2], {0: 1.5, 2: 0.25})
-        again = RoundLog.from_json_line(log.to_json_line())
-        assert again == log
+        payload = json.loads(log.to_json_line())
+        assert payload == {
+            "round": 3, "lr": 0.0015, "selected": [0, 2], "client_loss": {"0": 1.5, "2": 0.25},
+        }
 
     def test_bad_dataset_keys_rejected(self, world):
         datasets, params = small_setup(world)

@@ -6,18 +6,15 @@ import pytest
 from fedprompt import autograd as ag
 from fedprompt.autograd import ParameterSet, grad_check
 from fedprompt.errors import ConfigError, DimensionError
+from fedprompt.seeding import rng_for
 from fedprompt.translator import (
-    ContextVectors,
     TranslatorConfig,
-    cross_attention,
-    generate_context,
     init_translator_params,
     translate_one,
-    translator_param_count,
     translator_schema,
 )
 
-CFG16 = TranslatorConfig(d_model=16, n_ctx=4, n_heads=4, ffn_mult=2)
+CFG16 = TranslatorConfig(d_model=16, n_ctx=4, ffn_mult=2)
 
 
 def randomized_params(cfg, seed, scale=0.3):
@@ -31,26 +28,21 @@ def randomized_params(cfg, seed, scale=0.3):
 
 
 class TestConfig:
-    def test_head_divisibility_enforced(self):
-        with pytest.raises(ConfigError):
-            TranslatorConfig(d_model=10, n_heads=4)
-
     def test_positive_dims_enforced(self):
         with pytest.raises(ConfigError):
             TranslatorConfig(n_ctx=0)
 
     def test_derived_sizes(self):
-        assert CFG16.d_head == 4
         assert CFG16.d_ffn == 32
 
 
 class TestSchema:
     def test_tensor_count(self):
-        assert len(translator_schema(CFG16)) == 11
+        assert len(translator_schema(CFG16)) == 7
 
     def test_scalar_count_reference_config(self):
-        # 64 queries + 4*256 projections + 4*16 norms + 1024 + 512 ffn
-        assert translator_param_count(CFG16) == 2688
+        # 64 queries + 2*256 projections + 2*16 norm + 1024 + 512 ffn
+        assert init_translator_params(CFG16, 0).n_scalars() == 2144
 
     def test_schema_matches_built_params(self):
         params = init_translator_params(CFG16, 0)
@@ -77,61 +69,48 @@ class TestInit:
 
     def test_zero_started_tensors(self):
         params = init_translator_params(CFG16, 7)
-        assert params["W_q"].value.data.any()  # projections stay random
+        assert params["W_v"].value.data.any()  # projections stay random
         assert not params["W_o"].value.data.any()
         assert not params["ffn_out"].value.data.any()
-        assert np.array_equal(params["ln1_gain"].value.data, np.ones(16))
-        assert not params["ln1_bias"].value.data.any()
+        assert np.array_equal(params["ln2_gain"].value.data, np.ones(16))
+        assert not params["ln2_bias"].value.data.any()
+
+    def test_retired_draws_keep_later_values(self):
+        # two [d, d] draws between queries and W_v hold the place of the
+        # retired query/key projections, so W_v matches older releases
+        rng = rng_for(5, "translator-init")
+        rng.standard_normal((4, 16))
+        rng.standard_normal((16, 16))
+        rng.standard_normal((16, 16))
+        expected = rng.standard_normal((16, 16)) / 4.0
+        params = init_translator_params(CFG16, 5)
+        assert np.array_equal(params["W_v"].value.data, expected)
 
     def test_query_scale(self):
-        cfg = TranslatorConfig(d_model=64, n_ctx=64, n_heads=4, ffn_mult=2)
+        cfg = TranslatorConfig(d_model=64, n_ctx=64, ffn_mult=2)
         params = init_translator_params(cfg, 11)
         std = params["queries"].value.data.std()
         assert 0.015 < std < 0.025
 
 
 class TestAttention:
-    def test_hand_computed_single_head(self):
-        # one head, d=2, identity projections, two keys: attention reduces
-        # to a softmax-weighted mix of the kv rows
-        import math
-
-        cfg = TranslatorConfig(d_model=2, n_ctx=1, n_heads=1, ffn_mult=2, kv_len=2)
-        params = init_translator_params(cfg, 0)
-        for name in ("W_q", "W_k", "W_v", "W_o"):
-            params[name].set_value(np.eye(2))
-        queries_in = ag.constant([[1.0, 0.0]])
-        kv = ag.constant([[1.0, 0.0], [0.0, 1.0]])
-        out = cross_attention(params, cfg, queries_in, kv).value.data
-        s = 1.0 / math.sqrt(2.0)  # score of the first key; second scores 0
-        p = math.exp(s) / (math.exp(s) + 1.0)
-        assert np.allclose(out, [[p, 1.0 - p]], rtol=0, atol=1e-15)
+    """Single-key attention reduces to one projected value row per query."""
 
     def test_single_key_output_is_projected_value_row(self):
         params = randomized_params(CFG16, 61)
-        rng = np.random.default_rng(8)
-        queries_in = ag.constant(rng.standard_normal((4, 16)))
-        kv_row = rng.standard_normal((1, 16))
-        out = cross_attention(params, CFG16, queries_in, ag.constant(kv_row)).value.data
-        expected = (kv_row @ params["W_v"].value.data) @ params["W_o"].value.data
-        assert np.max(np.abs(out - np.repeat(expected, 4, axis=0))) < 1e-12
-
-    def test_uniform_keys_give_uniform_rows(self):
-        cfg = TranslatorConfig(d_model=16, n_ctx=4, n_heads=4, ffn_mult=2, kv_len=5)
-        params = randomized_params(cfg, 71)
-        rng = np.random.default_rng(9)
-        queries_in = ag.constant(rng.standard_normal((4, 16)))
-        kv = ag.constant(np.repeat(rng.standard_normal((1, 16)), 5, axis=0))
-        out = cross_attention(params, cfg, queries_in, kv).value.data
-        spread = out.max(axis=0) - out.min(axis=0)
-        assert np.max(spread) < 1e-12
+        params["ffn_out"].set_value(np.zeros((CFG16.d_ffn, 16)))  # close the feed-forward
+        emb = np.random.default_rng(8).standard_normal((1, 16))
+        out = translate_one(params, CFG16, ag.constant(emb)).value.data
+        row = (emb @ params["W_v"].value.data) @ params["W_o"].value.data
+        expected = params["queries"].value.data + np.repeat(row, 4, axis=0)
+        assert np.max(np.abs(out - expected)) < 1e-12
 
 
 class TestForward:
     def test_context_equals_queries_at_init(self):
         params = init_translator_params(CFG16, 3)
-        kv = np.random.default_rng(0).standard_normal((1, 16))
-        out = translate_one(params, CFG16, ag.constant(kv))
+        emb = np.random.default_rng(0).standard_normal((1, 16))
+        out = translate_one(params, CFG16, ag.constant(emb))
         assert np.array_equal(out.value.data, params["queries"].value.data)
 
     def test_kv_shape_checked(self):
@@ -139,43 +118,25 @@ class TestForward:
         with pytest.raises(DimensionError):
             translate_one(params, CFG16, ag.constant(np.ones((2, 16))))
 
-    def test_single_kv_row_ignores_query_projection(self):
-        # with one key the attention weights are forced to 1, so W_q
-        # cannot influence the output
-        params = randomized_params(CFG16, 21)
-        kv = np.random.default_rng(1).standard_normal((1, 16))
-        out_a = translate_one(params, CFG16, ag.constant(kv)).value.data
-        params["W_q"].set_value(np.random.default_rng(2).standard_normal((16, 16)))
-        out_b = translate_one(params, CFG16, ag.constant(kv)).value.data
-        assert np.max(np.abs(out_a - out_b)) < 1e-12
-
-    def test_identical_kv_rows_match_single_row(self):
-        cfg3 = TranslatorConfig(d_model=16, n_ctx=4, n_heads=4, ffn_mult=2, kv_len=3)
-        params = randomized_params(CFG16, 31)
-        row = np.random.default_rng(3).standard_normal((1, 16))
-        single = translate_one(params, CFG16, ag.constant(row)).value.data
-        tripled = translate_one(params, cfg3, ag.constant(np.repeat(row, 3, axis=0))).value.data
-        assert np.max(np.abs(single - tripled)) < 1e-12
-
     def test_batch_output_shape(self):
         params = init_translator_params(CFG16, 9)
         rng = np.random.default_rng(4)
-        ctx = generate_context(params, CFG16, [rng.standard_normal((1, 16)) for _ in range(5)])
-        assert isinstance(ctx, ContextVectors)
-        assert len(ctx) == 5
-        assert ctx.stacked().shape == (5, 4, 16)
+        ctx = [translate_one(params, CFG16, ag.constant(rng.standard_normal((1, 16))))
+               for _ in range(5)]
+        assert np.stack([c.value.data for c in ctx]).shape == (5, 4, 16)
 
     def test_distinct_kv_give_distinct_context(self):
         params = randomized_params(CFG16, 41)
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((1, 16)), rng.standard_normal((1, 16))
-        ctx = generate_context(params, CFG16, [a, b])
-        assert not np.array_equal(ctx.items[0].value.data, ctx.items[1].value.data)
+        ctx_a = translate_one(params, CFG16, ag.constant(a)).value.data
+        ctx_b = translate_one(params, CFG16, ag.constant(b)).value.data
+        assert not np.array_equal(ctx_a, ctx_b)
 
 
 class TestGradients:
     def test_full_block_grad_check(self):
-        cfg = TranslatorConfig(d_model=8, n_ctx=2, n_heads=2, ffn_mult=2)
+        cfg = TranslatorConfig(d_model=8, n_ctx=2, ffn_mult=2)
         params = randomized_params(cfg, 51)
         kv = np.random.default_rng(6).standard_normal((1, 8))
         probe_rng = np.random.default_rng(7)
