@@ -233,31 +233,6 @@ def transpose(a: DiffNode) -> DiffNode:
     return DiffNode(a.value.data.T, (a,), lambda g: (g.T,), op="transpose")
 
 
-def concat_rows(parts: Sequence[DiffNode]) -> DiffNode:
-    parts = [_as_node(p) for p in parts]
-    if not parts:
-        raise DimensionError("concat_rows needs at least one part")
-    for p in parts:
-        _need_2d(p, "concat_rows")
-    cols = parts[0].shape[1]
-    if any(p.shape[1] != cols for p in parts):
-        raise DimensionError("concat_rows parts must share the column count")
-    splits = np.cumsum([p.shape[0] for p in parts])[:-1]
-    value = np.concatenate([p.value.data for p in parts], axis=0)
-    return DiffNode(
-        value, tuple(parts), lambda g: tuple(np.split(g, splits, axis=0)), op="concat_rows"
-    )
-
-
-def mean_rows(a: DiffNode) -> DiffNode:
-    """Average over rows; [n, d] becomes [1, d]."""
-    a = _as_node(a)
-    _need_2d(a, "mean_rows")
-    n = a.shape[0]
-    value = a.value.data.mean(axis=0, keepdims=True)
-    return DiffNode(value, (a,), lambda g: (np.repeat(g / n, n, axis=0),), op="mean_rows")
-
-
 def layer_norm(x: DiffNode, gain: DiffNode, bias: DiffNode) -> DiffNode:
     """Row-wise layer normalization with a learned affine pair.
 

@@ -71,9 +71,10 @@ def evaluate(
 ) -> float:
     """Accuracy percent over the chosen split.
 
-    The label space is exactly the split's classes.  Text features are
-    computed once per class; each of the n_test samples per class is
-    assigned to the feature with the highest cosine/temperature score.
+    The label space is exactly the split's classes.  Text features for
+    the whole split come from one graph; each class draws its n_test
+    samples at once, and each sample is assigned to the feature with the
+    highest cosine/temperature score.
     """
     if n_test < 1:
         raise ConfigError(f"n_test must be positive, got {n_test}")
@@ -83,8 +84,7 @@ def evaluate(
     feats = class_features(params, world, trans_cfg, class_ids)
     correct = 0
     for local, class_id in enumerate(class_ids):
-        rng = rng_for(seed, "eval", split, class_id)
-        images = np.stack([sample_image(world, class_id, rng) for _ in range(n_test)])
+        images = sample_image(world, class_id, rng_for(seed, "eval", split, class_id), n_test)
         logits = images @ feats.T / temperature
         correct += int((logits.argmax(axis=1) == local).sum())
     return 100.0 * correct / (n_test * len(class_ids))

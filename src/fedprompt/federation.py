@@ -5,7 +5,9 @@ run a few epochs of local SGD on their own class subset, and send the
 resulting parameters back; the server replaces the global model with the
 uniform coordinatewise mean.  Clients hold disjoint classes, so locally
 the task is a small closed-set classification problem over each client's
-own label space.
+own label space.  Each local step builds one graph for the client's whole
+class set: one translator pass and one text-head pass over all of its
+classes, whatever their number.
 
 Everything here is deterministic: client selection, batch shuffling and
 the aggregation order are all fixed functions of the master seed, and
@@ -99,19 +101,21 @@ def class_text_features(
     """Unit text features [len(class_ids), d], one row per class.
 
     This is the one path from class id to text feature, used by training
-    and evaluation alike.  With params None the context is all zeros,
-    which reduces every feature to the raw class-name embedding: the
-    zero-context baseline.
+    and evaluation alike.  The whole class set runs as one graph: one
+    translator pass gives every class its context, one head pass every
+    feature.  With params None the context is all zeros, which reduces
+    every feature to the raw class-name embedding: the zero-context
+    baseline.
     """
-    feats = []
-    for class_id in class_ids:
-        emb = world.class_embedding(class_id)
-        if params is None:
-            ctx = ag.constant(np.zeros((trans_cfg.n_ctx, trans_cfg.d_model)))
-        else:
-            ctx = translate_one(params, trans_cfg, ag.constant(emb))
-        feats.append(text_feature(world.head, emb, ctx))
-    return ag.concat_rows(feats)
+    ids = list(class_ids)
+    if min(ids, default=0) < 0:
+        raise IndexError(f"class id {min(ids)} out of range")
+    emb = world.class_embeddings[ids]
+    if params is None:
+        ctx = ag.constant(np.zeros((len(emb) * trans_cfg.n_ctx, trans_cfg.d_model)))
+    else:
+        ctx = translate_one(params, trans_cfg, ag.constant(emb))
+    return text_feature(world.head, emb, ctx)
 
 
 def class_logits(

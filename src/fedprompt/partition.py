@@ -71,10 +71,9 @@ def build_client_dataset(
     class_ids = tuple(sorted(int(c) for c in client_classes))
     if len(set(class_ids)) != len(class_ids):
         raise ConfigError("client class list contains duplicates")
-    images, labels = [], []
-    for local, class_id in enumerate(class_ids):
-        rng = rng_for(seed, "data", client_id, class_id)
-        for _ in range(shots):
-            images.append(sample_image(world, class_id, rng))
-            labels.append(local)
-    return FewShotSet(class_ids, np.stack(images), np.asarray(labels, dtype=np.int64))
+    images = [
+        sample_image(world, class_id, rng_for(seed, "data", client_id, class_id), shots)
+        for class_id in class_ids
+    ]
+    labels = np.repeat(np.arange(len(class_ids), dtype=np.int64), shots)
+    return FewShotSet(class_ids, np.concatenate(images), labels)

@@ -1,4 +1,4 @@
-"""Prompt generator that turns a class-name embedding into context vectors.
+"""Prompt generator that turns class-name embeddings into context vectors.
 
 A fixed bank of learned query vectors takes one additive update from the
 class-name embedding, then a gated feed-forward refines the result under
@@ -12,6 +12,10 @@ It has no query or key projection, no heads and no attention weights,
 because with one key none of them can change the output or receive a
 gradient.  Attention over several keys, such as a task's whole set of
 class names, would be a different model.
+
+A whole class set runs as one graph: k embedding rows give k contexts
+stacked as [k * n_ctx, d_model] rows, class by class.  Every step after
+the tiling works row by row, so the classes never mix.
 
 Parameter tensors have a fixed schema; see translator_schema().  The
 output projection and the second feed-forward matrix start at zero, which
@@ -93,14 +97,17 @@ def init_translator_params(cfg: TranslatorConfig, seed: int) -> ParameterSet:
 
 
 def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: DiffNode) -> DiffNode:
-    """Context vectors [n_ctx, d_model] for one class; emb is [1, d_model]."""
-    if emb.shape != (1, cfg.d_model):
-        raise DimensionError(f"emb must be (1, {cfg.d_model}), got {emb.shape}")
+    """Context vectors for k classes; emb is [k, d_model], the result is
+    [k * n_ctx, d_model] with class i in rows i * n_ctx to (i + 1) * n_ctx."""
+    if len(emb.shape) != 2 or emb.shape[0] < 1 or emb.shape[1] != cfg.d_model:
+        raise DimensionError(f"emb must be (k, {cfg.d_model}) with k >= 1, got {emb.shape}")
+    k, n = emb.shape[0], cfg.n_ctx
     # tile after W_v and before W_o; tiling the embedding before W_v
     # rounds differently (about 1e-16) and shifts every trained result
-    value_row = ag.matmul(emb, params["W_v"])
-    tiled = ag.matmul(ag.constant(np.ones((cfg.n_ctx, 1))), value_row)
-    u = ag.add(params["queries"], ag.matmul(tiled, params["W_o"]))
+    value_rows = ag.matmul(emb, params["W_v"])
+    tiled = ag.matmul(ag.constant(np.kron(np.eye(k), np.ones((n, 1)))), value_rows)
+    queries = ag.matmul(ag.constant(np.kron(np.ones((k, 1)), np.eye(n))), params["queries"])
+    u = ag.add(queries, ag.matmul(tiled, params["W_o"]))
     u_in = ag.layer_norm(u, params["ln2_gain"], params["ln2_bias"])
     ffn = ag.matmul(ag.geglu(ag.matmul(u_in, params["ffn_in"])), params["ffn_out"])
     return ag.add(u, ffn)

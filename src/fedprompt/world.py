@@ -9,7 +9,9 @@ they are related to, but distinct from, anything seen in training.
 A small frozen two-layer head turns prompt context vectors into an
 additive correction on the class-name embedding.  With zero context the
 head contributes nothing, so the text feature degenerates to the raw
-class embedding; that identity anchors several tests.
+class embedding; that identity anchors several tests.  The head takes a
+whole class set at once: k embedding rows and their contexts stacked as
+[k * n_ctx, d] rows give k features in one graph.
 """
 
 from dataclasses import dataclass
@@ -90,12 +92,6 @@ class SyntheticWorld:
             return self.new_centers[class_id - n_base]
         raise IndexError(f"class id {class_id} out of range")
 
-    def class_embedding(self, class_id: int) -> np.ndarray:
-        """Class-name embedding as a [1, d] row."""
-        if not 0 <= class_id < self.cfg.n_classes:
-            raise IndexError(f"class id {class_id} out of range")
-        return self.class_embeddings[class_id : class_id + 1]
-
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
@@ -137,28 +133,37 @@ def build_world(cfg: WorldConfig) -> SyntheticWorld:
     return SyntheticWorld(cfg, base, new, emb, head)
 
 
-def sample_image(world: SyntheticWorld, class_id: int, rng: np.random.Generator) -> np.ndarray:
-    """One unit-norm image embedding for the given class."""
+def sample_image(
+    world: SyntheticWorld, class_id: int, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """n unit-norm image embeddings [n, d] for the given class.
+
+    One [n, d] draw takes the same values, row by row, as n draws of d.
+    """
     center = world.center(class_id)
     if world.cfg.sigma_img == 0.0:
-        return center.copy()
-    noisy = center + world.cfg.sigma_img * rng.standard_normal(world.cfg.d)
-    return _unit_rows(noisy[None, :])[0]
+        return np.tile(center, (n, 1))
+    return _unit_rows(center + world.cfg.sigma_img * rng.standard_normal((n, world.cfg.d)))
 
 
 def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> DiffNode:
-    """Classifier weight for one class given its prompt context.
+    """Classifier weights [k, d] for k classes given their prompt contexts.
 
-    Pools the context vectors, pushes them through the frozen head, adds
-    the result to the class-name embedding, and renormalizes.  Returns a
-    [1, d] graph node so gradients flow back into the context.
+    class_emb holds k class-name embedding rows; ctx stacks each class's
+    n_ctx context vectors, class by class, as [k * n_ctx, d].  Averages
+    each class's context rows, pushes the result through the frozen
+    head, adds it to the class-name embedding, and renormalizes each
+    row.  Returns a graph node so gradients flow back into the context.
     """
-    d = class_emb.shape[-1]
+    k, d = class_emb.shape
     if ctx.shape[-1] != d:
         raise DimensionError(f"context width {ctx.shape} does not match embedding ({d})")
-    pooled = ag.mean_rows(ctx)
+    if k < 1 or ctx.shape[0] < k or ctx.shape[0] % k:
+        raise DimensionError(f"{ctx.shape[0]} context rows do not split into {k} classes")
+    n_ctx = ctx.shape[0] // k
+    pooled = ag.matmul(ag.constant(np.kron(np.eye(k), np.full((1, n_ctx), 1.0 / n_ctx))), ctx)
     corr = ag.matmul(ag.gelu(ag.matmul(pooled, ag.constant(head.W1))), ag.constant(head.W2))
-    return ag.l2_normalize(ag.add(ag.constant(class_emb.reshape(1, d)), corr))
+    return ag.l2_normalize(ag.add(ag.constant(class_emb), corr))
 
 
 def load_embeddings(arrays: dict[str, np.ndarray], cfg: WorldConfig) -> SyntheticWorld:

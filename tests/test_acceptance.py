@@ -7,11 +7,16 @@ contract change, not a test fix.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedprompt
 from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.cli import main
 from fedprompt.config import load_config
@@ -274,6 +279,41 @@ def test_full_run_determinism(tmp_path):
         "determinism",
         ok,
         "checkpoint, log, eval, and 5 report files byte-identical across runs"
+        if ok
+        else f"mismatched: {mismatched}",
+    )
+    assert ok, msg
+
+
+def _cli_in_subprocess(env: dict, *args: str) -> None:
+    code = "import sys; from fedprompt.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def test_bytes_independent_of_blas_threads(tmp_path):
+    # the package starts no threads, but BLAS may split a gemm across
+    # threads; the default configuration must still write the same bytes
+    src = str(Path(fedprompt.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        d = tmp_path / f"threads{threads}"
+        d.mkdir()
+        ckpt, log, ev = str(d / "model.ftpg"), str(d / "log.jsonl"), str(d / "eval.json")
+        _cli_in_subprocess(env, "train", "--set", "federation.rounds=2",
+                           "--checkpoint", ckpt, "--log", log)
+        _cli_in_subprocess(env, "eval", "--checkpoint", ckpt, "--out", ev)
+        outputs.append({name: Path(path).read_bytes()
+                        for name, path in (("checkpoint", ckpt), ("log", log), ("eval", ev))})
+
+    mismatched = [k for k in outputs[0] if outputs[0][k] != outputs[1][k]]
+    ok = not mismatched
+    msg = _line(
+        "blas-threads",
+        ok,
+        "checkpoint, log, eval byte-identical at 1 and 2 BLAS threads"
         if ok
         else f"mismatched: {mismatched}",
     )

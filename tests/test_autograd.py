@@ -20,7 +20,6 @@ from fedprompt.autograd import (
     l2_normalize,
     layer_norm,
     matmul,
-    mean_rows,
     scale,
     transpose,
 )
@@ -121,10 +120,6 @@ class TestForwardOracles:
         with pytest.raises(IndexError):
             cross_entropy(constant(np.zeros((1, 3))), [3])
 
-    def test_mean_rows(self):
-        out = mean_rows(constant([[1.0, 2.0], [3.0, 6.0]]))
-        assert np.array_equal(out.value.data, [[2.0, 4.0]])
-
 
 class TestBackward:
     def test_fan_out_accumulates(self):
@@ -182,9 +177,6 @@ class TestGradCheckPerOp:
     def test_transpose(self):
         check_unary(transpose, (3, 4), 2)
 
-    def test_mean_rows(self):
-        check_unary(mean_rows, (5, 3), 3)
-
     def test_gelu(self):
         check_unary(gelu, (3, 6), 5)
 
@@ -193,14 +185,6 @@ class TestGradCheckPerOp:
 
     def test_l2_normalize(self):
         check_unary(l2_normalize, (4, 5), 7)
-
-    def test_concat_rows(self):
-        rng = np.random.default_rng(14)
-        a = Parameter("a", rng.standard_normal((2, 3)))
-        b = Parameter("b", rng.standard_normal((4, 3)))
-        params = ParameterSet([a, b])
-        err = grad_check(lambda: probe(ag.concat_rows([a, b]), 15), params)
-        assert err < 1e-6
 
     def test_layer_norm(self):
         rng = np.random.default_rng(10)

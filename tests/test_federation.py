@@ -12,6 +12,8 @@ from fedprompt.federation import (
     ClientUpdate,
     OptimizerConfig,
     RoundLog,
+    class_logits,
+    class_text_features,
     cosine_lr,
     fedavg,
     local_update,
@@ -21,8 +23,8 @@ from fedprompt.federation import (
 )
 from fedprompt.partition import build_client_dataset, partition_classes
 from fedprompt.seeding import rng_for
-from fedprompt.translator import TranslatorConfig, init_translator_params
-from fedprompt.world import WorldConfig, build_world
+from fedprompt.translator import TranslatorConfig, init_translator_params, translate_one
+from fedprompt.world import WorldConfig, build_world, text_feature
 
 TRANS = TranslatorConfig(d_model=16, n_ctx=2, ffn_mult=2)
 OPT = OptimizerConfig(lr0=0.05, temperature=0.5, batch_size=4)
@@ -157,6 +159,85 @@ class TestFedAvg:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             fedavg([])
+
+
+def loop_features(params, world, class_ids):
+    """Reference: one translator and one head graph per class (k = 1)."""
+    feats = []
+    for class_id in class_ids:
+        emb = world.class_embeddings[class_id : class_id + 1]
+        if params is None:
+            ctx = ag.constant(np.zeros((TRANS.n_ctx, TRANS.d_model)))
+        else:
+            ctx = translate_one(params, TRANS, ag.constant(emb))
+        feats.append(text_feature(world.head, emb, ctx))
+    return feats
+
+
+def graph_size(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
+class TestClassTextFeatures:
+    IDS = [1, 4, 5, 9, 13]
+
+    def trained_params(self, world):
+        datasets, params = small_setup(world)
+        return local_update(params, world, datasets[0], OPT, TRANS, 2, 0.05,
+                            np.random.default_rng(11), 0).params
+
+    def test_trained_features_match_per_class_loop(self, world):
+        params = self.trained_params(world)
+        assert params["W_o"].value.data.any() and params["ffn_out"].value.data.any()
+        batched = class_text_features(params, TRANS, world, self.IDS).value.data
+        loop = np.concatenate([f.value.data for f in loop_features(params, world, self.IDS)])
+        assert batched.shape == (5, 16)
+        assert np.max(np.abs(batched - loop)) < 1e-12
+
+    def test_zero_context_features_match_per_class_loop(self, world):
+        batched = class_text_features(None, TRANS, world, self.IDS).value.data
+        loop = np.concatenate([f.value.data for f in loop_features(None, world, self.IDS)])
+        assert np.max(np.abs(batched - loop)) < 1e-12
+
+    def test_gradients_match_per_class_loop(self, world):
+        params = self.trained_params(world)
+        k = len(self.IDS)
+        probe = np.random.default_rng(12).standard_normal((k, TRANS.d_model))
+
+        def total(rows):
+            # sum_i <feature_i, probe_i> as a scalar node
+            out = ag.matmul(rows[0], ag.constant(probe[:1].T))
+            for i, row in enumerate(rows[1:], start=1):
+                out = ag.add(out, ag.matmul(row, ag.constant(probe[i : i + 1].T)))
+            return out
+
+        feats = class_text_features(params, TRANS, world, self.IDS)
+        backward(total([ag.matmul(ag.constant(np.eye(k)[i : i + 1]), feats) for i in range(k)]))
+        batched = {name: p.grad.numpy() for name, p in params.items()}
+        backward(total(loop_features(params, world, self.IDS)))
+        scale = max(np.abs(p.grad.data).max() for p in params)
+        assert scale > 0
+        for name, p in params.items():
+            assert np.max(np.abs(batched[name] - p.grad.data)) / scale < 1e-12, name
+
+    def test_step_graph_size_independent_of_class_count(self, world):
+        params = init_translator_params(TRANS, 3)
+        images = np.random.default_rng(13).standard_normal((4, 16))
+        sizes = set()
+        for k in (1, 3, 12):
+            logits = class_logits(params, TRANS, world, range(k), images, 0.5)
+            sizes.add(graph_size(ag.cross_entropy(logits, [0] * 4)))
+        assert len(sizes) == 1 and sizes.pop() <= 40
+
+    def test_negative_class_id_rejected(self, world):
+        with pytest.raises(IndexError):
+            class_text_features(None, TRANS, world, [0, -1])
 
 
 class TestLocalUpdate:

@@ -113,17 +113,24 @@ class TestForward:
         out = translate_one(params, CFG16, ag.constant(emb))
         assert np.array_equal(out.value.data, params["queries"].value.data)
 
-    def test_kv_shape_checked(self):
+    def test_wrong_width_rejected(self):
         params = init_translator_params(CFG16, 3)
-        with pytest.raises(DimensionError):
-            translate_one(params, CFG16, ag.constant(np.ones((2, 16))))
+        for shape in ((2, 8), (1, 17), (0, 16)):
+            with pytest.raises(DimensionError):
+                translate_one(params, CFG16, ag.constant(np.ones(shape)))
 
     def test_batch_output_shape(self):
         params = init_translator_params(CFG16, 9)
-        rng = np.random.default_rng(4)
-        ctx = [translate_one(params, CFG16, ag.constant(rng.standard_normal((1, 16))))
-               for _ in range(5)]
-        assert np.stack([c.value.data for c in ctx]).shape == (5, 4, 16)
+        emb = np.random.default_rng(4).standard_normal((5, 16))
+        assert translate_one(params, CFG16, ag.constant(emb)).shape == (20, 16)
+
+    def test_batch_rows_are_single_class_contexts(self):
+        params = randomized_params(CFG16, 21)
+        emb = np.random.default_rng(6).standard_normal((3, 16))
+        batched = translate_one(params, CFG16, ag.constant(emb)).value.data
+        for i in range(3):
+            one = translate_one(params, CFG16, ag.constant(emb[i : i + 1])).value.data
+            assert np.max(np.abs(batched[4 * i : 4 * i + 4] - one)) < 1e-12
 
     def test_distinct_kv_give_distinct_context(self):
         params = randomized_params(CFG16, 41)

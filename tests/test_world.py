@@ -86,20 +86,20 @@ class TestImages:
     def test_zero_noise_returns_center_bitwise(self):
         cfg = WorldConfig(d=16, n_base=4, n_new=0, sigma_img=0.0, seed=3)
         w = build_world(cfg)
-        img = sample_image(w, 2, np.random.default_rng(0))
-        assert np.array_equal(img, w.base_centers[2])
+        imgs = sample_image(w, 2, np.random.default_rng(0), 3)
+        assert imgs.shape == (3, 16)
+        assert all(np.array_equal(img, w.base_centers[2]) for img in imgs)
 
     def test_unit_norm(self, world):
         rng = np.random.default_rng(1)
         for class_id in (0, 33, 79):
-            img = sample_image(world, class_id, rng)
-            assert abs(np.linalg.norm(img) - 1.0) < 1e-9
+            imgs = sample_image(world, class_id, rng, 5)
+            assert np.max(np.abs(np.linalg.norm(imgs, axis=1) - 1.0)) < 1e-9
 
     def test_mean_cosine_matches_noise_level(self, world):
         # cos to the center concentrates near 1/sqrt(1 + sigma^2 d); for
         # sigma 0.1 and d 32 that is about 0.87
-        rng = np.random.default_rng(2)
-        cos = [sample_image(world, 0, rng) @ world.base_centers[0] for _ in range(1000)]
+        cos = sample_image(world, 0, np.random.default_rng(2), 1000) @ world.base_centers[0]
         assert 0.85 < np.mean(cos) < 0.89
 
     def test_images_cluster_around_own_center(self, world):
@@ -107,44 +107,75 @@ class TestImages:
         centers = np.concatenate([world.base_centers, world.new_centers])
         hits = 0
         for class_id in range(0, 80, 4):
-            for _ in range(5):
-                img = sample_image(world, class_id, rng)
-                hits += int((img @ centers.T).argmax() == class_id)
+            imgs = sample_image(world, class_id, rng, 5)
+            hits += int(((imgs @ centers.T).argmax(axis=1) == class_id).sum())
         assert hits >= 95  # of 100
 
     def test_bad_class_id(self, world):
         with pytest.raises(IndexError):
-            sample_image(world, 80, np.random.default_rng(0))
+            sample_image(world, 80, np.random.default_rng(0), 1)
+
+    @pytest.mark.parametrize("sigma_img", [0.25, 0.0])
+    @pytest.mark.parametrize("d", [16, 129])
+    def test_n_draws_equal_n_single_draws_bitwise(self, sigma_img, d):
+        w = build_world(WorldConfig(d=d, n_base=4, n_new=2, sigma_img=sigma_img, seed=9))
+        batched = sample_image(w, 5, np.random.default_rng(4), 7)
+        rng = np.random.default_rng(4)
+        single = np.concatenate([sample_image(w, 5, rng, 1) for _ in range(7)])
+        assert batched.shape == (7, d)
+        assert batched.tobytes() == single.tobytes()
+
+
+def emb_rows(world, class_ids):
+    return world.class_embeddings[list(class_ids)]
 
 
 class TestTextFeature:
     def test_zero_context_identity(self, world):
         m = 4
-        zero_ctx = ag.constant(np.zeros((m, CFG.d)))
-        for class_id in range(0, 80, 7):
-            emb = world.class_embedding(class_id)
-            feat = text_feature(world.head, emb, zero_ctx).value.data
-            assert np.max(np.abs(feat - emb)) < 1e-12
+        ids = range(0, 80, 7)
+        emb = emb_rows(world, ids)
+        zero_ctx = ag.constant(np.zeros((m * len(emb), CFG.d)))
+        feat = text_feature(world.head, emb, zero_ctx).value.data
+        assert feat.shape == emb.shape
+        assert np.max(np.abs(feat - emb)) < 1e-12
 
     def test_nonzero_context_moves_feature(self, world):
         ctx = ag.constant(np.random.default_rng(4).standard_normal((4, CFG.d)))
-        emb = world.class_embedding(0)
+        emb = emb_rows(world, [0])
         feat = text_feature(world.head, emb, ctx).value.data
         assert np.max(np.abs(feat - emb)) > 1e-3
         assert abs(np.linalg.norm(feat) - 1.0) < 1e-9
 
     def test_width_mismatch_rejected(self, world):
         with pytest.raises(DimensionError):
-            text_feature(world.head, world.class_embedding(0), ag.constant(np.zeros((4, 16))))
+            text_feature(world.head, emb_rows(world, [0]), ag.constant(np.zeros((4, 16))))
+
+    def test_ctx_rows_must_split_into_classes(self, world):
+        emb = emb_rows(world, [0, 1, 2])
+        for rows in (4, 2, 0):
+            with pytest.raises(DimensionError):
+                text_feature(world.head, emb, ag.constant(np.zeros((rows, CFG.d))))
+
+    def test_classes_pool_only_their_own_rows(self, world):
+        ids = [3, 8, 40]
+        ctx = np.random.default_rng(7).standard_normal((3 * 4, CFG.d))
+        batched = text_feature(world.head, emb_rows(world, ids), ag.constant(ctx)).value.data
+        for i, class_id in enumerate(ids):
+            one = text_feature(
+                world.head, emb_rows(world, [class_id]), ag.constant(ctx[4 * i : 4 * i + 4])
+            ).value.data
+            assert np.max(np.abs(batched[i] - one[0])) < 1e-12
 
     def test_gradient_reaches_context(self, world):
-        ctx = Parameter("ctx", np.random.default_rng(5).standard_normal((4, CFG.d)) * 0.1)
+        ctx = Parameter("ctx", np.random.default_rng(5).standard_normal((8, CFG.d)) * 0.1)
         params = ParameterSet([ctx])
-        emb = world.class_embedding(3)
+        emb = emb_rows(world, [3, 11])
         probe = np.random.default_rng(6).standard_normal((CFG.d, 1))
 
         def loss():
-            return ag.matmul(text_feature(world.head, emb, ctx), ag.constant(probe))
+            feats = text_feature(world.head, emb, ctx)
+            return ag.matmul(ag.constant(np.ones((1, 2))), ag.matmul(feats, ag.constant(probe)))
 
         assert grad_check(loss, params) < 1e-6
 
