@@ -11,7 +11,7 @@ The usual flow is config -> world -> partition -> run_training ->
 evaluate_both_splits, or the same through the command line via `main`.
 """
 
-from fedprompt.autograd import Parameter, ParameterSet, Tensor, grad_check
+from fedprompt.autograd import Parameter, ParameterSet, grad_check
 from fedprompt.charts import emit_charts
 from fedprompt.cli import main
 from fedprompt.config import ExperimentConfig, canonical_text, load_config
@@ -76,7 +76,6 @@ __all__ = [
     "SchemaError",
     "SummaryTable",
     "SyntheticWorld",
-    "Tensor",
     "TranslatorConfig",
     "WorldConfig",
     "build_client_dataset",

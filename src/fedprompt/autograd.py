@@ -8,8 +8,11 @@ same graph gives identical results.
 
 The op set is deliberately small and strict: 2-D matrices almost
 everywhere, no implicit broadcasting except the layer_norm affine pair,
-no in-place mutation of node values.  All math is float64 and every
-produced value is finite-checked at construction.
+no in-place mutation of node values.  All math is float64 on plain,
+read-only ndarrays.  Finiteness is checked where state and results leave
+the graph, raising NumericError: Parameter values (init, load, fedavg,
+every SGD step), the cross_entropy loss, the analytic gradients in
+grad_check, and federation.class_text_features.
 """
 
 from __future__ import annotations
@@ -28,42 +31,12 @@ LAYER_NORM_EPS = 1e-5
 L2_NORM_EPS = 1e-8
 
 
-class Tensor:
-    """Finite float64 array, row-major, read-only after construction."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.array(data, dtype=np.float64, order="C", copy=True)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("tensor values must be finite")
-        arr.setflags(write=False)
-        self.data = arr
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def numpy(self) -> np.ndarray:
-        """Writable copy of the underlying array."""
-        return self.data.copy()
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_err()
-
-    def _item_err(self):
-        raise DimensionError(f"item() needs a single-element tensor, got shape {self.shape}")
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
+def _checked(name: str, value) -> np.ndarray:
+    arr = np.array(value, dtype=np.float64, order="C", copy=True)
+    if not np.isfinite(arr).all():
+        raise NumericError(f"parameter {name!r} has non-finite values")
+    arr.setflags(write=False)
+    return arr
 
 
 class DiffNode:
@@ -78,14 +51,15 @@ class DiffNode:
 
     def __init__(
         self,
-        value,
+        value: np.ndarray,
         parents: tuple[DiffNode, ...] = (),
         rule: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None,
         op: str = "leaf",
     ):
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
+        value.setflags(write=False)
+        self.value = value
         self.parents = parents
-        self.grad: Tensor | None = None
+        self.grad: np.ndarray | None = None
         self.op = op
         self._rule = rule
 
@@ -98,17 +72,18 @@ class DiffNode:
 
 
 class Parameter(DiffNode):
-    """Named trainable leaf."""
+    """Named trainable leaf; its value is always a private float64 C-order
+    copy, finite (else NumericError) and read-only."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, value):
-        super().__init__(value, op="param")
+        super().__init__(_checked(name, value), op="param")
         self.name = name
 
     def set_value(self, value) -> None:
         """Replace the stored value; the existing grad is kept as-is."""
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
+        self.value = _checked(self.name, value)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -156,15 +131,15 @@ class ParameterSet:
     def n_scalars(self) -> int:
         return sum(p.value.size for p in self)
 
-    def flatten(self) -> Tensor:
-        """All coordinates as one vector, lexicographic name order."""
+    def flatten(self) -> np.ndarray:
+        """All coordinates as one new vector, lexicographic name order."""
         if not self._params:
-            return Tensor(np.empty(0))
-        return Tensor(np.concatenate([p.value.data.reshape(-1) for p in self]))
+            return np.empty(0)
+        return np.concatenate([p.value.reshape(-1) for p in self])
 
-    def unflatten(self, flat: Tensor) -> "ParameterSet":
+    def unflatten(self, flat) -> "ParameterSet":
         """Rebuild a set with this schema from a flat vector."""
-        vec = flat.data if isinstance(flat, Tensor) else np.asarray(flat, dtype=np.float64)
+        vec = np.asarray(flat, dtype=np.float64)
         if vec.ndim != 1:
             raise DimensionError(f"flat vector must be 1-D, got shape {vec.shape}")
         if vec.size != self.n_scalars():
@@ -179,7 +154,7 @@ class ParameterSet:
         return ParameterSet(out)
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet([Parameter(name, p.value.data) for name, p in self.items()])
+        return ParameterSet([Parameter(name, p.value) for name, p in self.items()])
 
     def check_same_schema(self, other: "ParameterSet", label: str = "parameter set") -> None:
         if self.schema() != other.schema():
@@ -187,8 +162,9 @@ class ParameterSet:
 
 
 def constant(value) -> DiffNode:
-    """Leaf node for data that needs no gradient of its own."""
-    return DiffNode(value, op="const")
+    """Leaf node for data that needs no gradient of its own; it holds a
+    read-only view, and the caller's array stays writable."""
+    return DiffNode(np.asarray(value, dtype=np.float64).view(), op="const")
 
 
 def _as_node(x) -> DiffNode:
@@ -208,13 +184,13 @@ def _need_2d(x: DiffNode, op: str) -> None:
 def add(a: DiffNode, b: DiffNode) -> DiffNode:
     a, b = _as_node(a), _as_node(b)
     _need_same_shape(a, b, "add")
-    return DiffNode(a.value.data + b.value.data, (a, b), lambda g: (g, g), op="add")
+    return DiffNode(a.value + b.value, (a, b), lambda g: (g, g), op="add")
 
 
 def scale(a: DiffNode, s: float) -> DiffNode:
     a = _as_node(a)
     s = float(s)
-    return DiffNode(a.value.data * s, (a,), lambda g: (g * s,), op="scale")
+    return DiffNode(a.value * s, (a,), lambda g: (g * s,), op="scale")
 
 
 def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
@@ -223,14 +199,16 @@ def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
     _need_2d(b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    av, bv = a.value.data, b.value.data
+    av, bv = a.value, b.value
     return DiffNode(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g), op="matmul")
 
 
 def transpose(a: DiffNode) -> DiffNode:
     a = _as_node(a)
     _need_2d(a, "transpose")
-    return DiffNode(a.value.data.T, (a,), lambda g: (g.T,), op="transpose")
+    # a C-order copy, not the strided view: BLAS rounds a matmul with a
+    # transposed operand differently, which would move trained results
+    return DiffNode(np.ascontiguousarray(a.value.T), (a,), lambda g: (g.T,), op="transpose")
 
 
 def layer_norm(x: DiffNode, gain: DiffNode, bias: DiffNode) -> DiffNode:
@@ -247,16 +225,16 @@ def layer_norm(x: DiffNode, gain: DiffNode, bias: DiffNode) -> DiffNode:
         raise DimensionError(
             f"layer_norm affine must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    xv = x.value.data
+    xv = x.value
     mu = xv.mean(axis=1, keepdims=True)
     xc = xv - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = xc * inv
-    value = y * gain.value.data + bias.value.data
+    value = y * gain.value + bias.value
 
     def rule(g):
-        gy = g * gain.value.data
+        gy = g * gain.value
         s1 = gy.sum(axis=1, keepdims=True)
         s2 = (gy * y).sum(axis=1, keepdims=True)
         dx = (inv / d) * (d * gy - s1 - y * s2)
@@ -278,7 +256,7 @@ def _gelu_derivative(x: np.ndarray) -> np.ndarray:
 def gelu(x: DiffNode) -> DiffNode:
     """Exact Gaussian error linear unit, erf form."""
     x = _as_node(x)
-    xv = x.value.data
+    xv = x.value
     return DiffNode(_gelu_forward(xv), (x,), lambda g: (g * _gelu_derivative(xv),), op="gelu")
 
 
@@ -291,7 +269,7 @@ def geglu(x: DiffNode) -> DiffNode:
     if w % 2 != 0:
         raise DimensionError(f"geglu needs an even column count, got {w}")
     h = w // 2
-    xv = x.value.data
+    xv = x.value
     a, b = xv[:, :h], xv[:, h:]
     gate = _gelu_forward(b)
 
@@ -308,7 +286,7 @@ def l2_normalize(x: DiffNode) -> DiffNode:
     are divided by the epsilon instead."""
     x = _as_node(x)
     _need_2d(x, "l2_normalize")
-    xv = x.value.data
+    xv = x.value
     norms = np.sqrt((xv * xv).sum(axis=1, keepdims=True))
     denom = np.maximum(norms, L2_NORM_EPS)
     y = xv / denom
@@ -335,12 +313,14 @@ def cross_entropy(logits: DiffNode, labels) -> DiffNode:
         raise DimensionError(f"cross_entropy got {lab.shape[0]} labels for {n} rows")
     if lab.size and (lab.min() < 0 or lab.max() >= k):
         raise IndexError(f"label out of range for {k} classes")
-    xv = logits.value.data
+    xv = logits.value
     z = xv - xv.max(axis=1, keepdims=True)
     e = np.exp(z)
     sums = e.sum(axis=1, keepdims=True)
     logp = z - np.log(sums)
-    value = -logp[np.arange(n), lab].mean()
+    value = np.asarray(-logp[np.arange(n), lab].mean())
+    if not np.isfinite(value):
+        raise NumericError(f"cross_entropy loss is not finite: {float(value)}")
 
     def rule(g):
         p = e / sums
@@ -381,11 +361,9 @@ def backward(root: DiffNode) -> None:
     order = _toposort(root)
     acc: dict[int, np.ndarray] = {id(root): np.ones(root.value.shape)}
     for node in reversed(order):
-        g = acc.get(id(node))
-        if g is None:
-            # defensive; every non-root node in the order has a consumer
-            g = np.zeros(node.value.shape)
-        node.grad = Tensor(g)
+        # reversed post-order: every consumer of node has already run
+        g = acc[id(node)]
+        node.grad = g
         if node._rule is None:
             continue
         parent_grads = node._rule(g)
@@ -410,17 +388,22 @@ def grad_check(
     loss_fn rebuilds the graph from the current parameter values and
     returns the scalar loss node.  Returns the worst relative error over
     every coordinate of every parameter, where the relative error uses
-    max(|analytic|, |numeric|, 1e-8) as the denominator.
+    max(|analytic|, |numeric|, 1e-8) as the denominator.  A non-finite
+    analytic gradient raises NumericError: compared as above it would
+    read as an error of zero.
     """
     for p in params:
         p.grad = None
     root = loss_fn()
     backward(root)
-    analytic = {name: p.grad.numpy() if p.grad is not None else np.zeros(p.shape)
+    analytic = {name: p.grad if p.grad is not None else np.zeros(p.shape)
                 for name, p in params.items()}
+    for name, g in analytic.items():
+        if not np.isfinite(g).all():
+            raise NumericError(f"gradient of {name!r} has non-finite values")
     worst = 0.0
     for name, p in params.items():
-        base = p.value.numpy()
+        base = p.value.copy()
         flat = base.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]

@@ -13,6 +13,7 @@ config exactly.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -127,15 +128,14 @@ def default_values() -> dict[str, object]:
 def _parse_value(key: str, raw: str, where: str):
     spec = KEYS[key]
     try:
-        if spec.type is int:
-            return int(raw)
-        if spec.type is float:
-            return float(raw)
-        return raw
+        value = spec.type(raw)
     except ValueError:
         raise ConfigError(
             f"malformed value for {key!r} ({where}): {raw!r} is not {spec.type.__name__}"
         ) from None
+    if spec.type is float and not math.isfinite(value):
+        raise ConfigError(f"non-finite value for {key!r} ({where}): {raw!r}")
+    return value
 
 
 def parse_config_text(text: str, source: str = "config") -> dict[str, object]:

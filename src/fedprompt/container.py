@@ -10,9 +10,10 @@ order so identical contents produce identical bytes.
 Readers parse the whole file before returning anything, so a truncated
 or corrupt file raises FormatError with the failing byte offset and no
 partial state escapes.  Writes go through a temp file and an atomic
-rename for the same reason.
+rename for the same reason; a failed write removes the temp file.
 """
 
+import contextlib
 import os
 import struct
 
@@ -52,9 +53,14 @@ def write_container(path, magic: bytes, arrays: dict[str, np.ndarray], config_te
     chunks.append(config_b)
 
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(b"".join(chunks))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:
@@ -135,7 +141,7 @@ def read_container(path, magic: bytes) -> tuple[dict[str, np.ndarray], str]:
 
 def save_checkpoint(path, params: ParameterSet, config_text: str) -> None:
     write_container(
-        path, CHECKPOINT_MAGIC, {name: p.value.data for name, p in params.items()}, config_text
+        path, CHECKPOINT_MAGIC, {name: p.value for name, p in params.items()}, config_text
     )
 
 

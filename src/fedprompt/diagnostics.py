@@ -117,7 +117,7 @@ def dead_gradient_tensors() -> list[str]:
     exactly zero everywhere; a tensor listed here cannot be trained."""
     params, loss_fn = _grad_check_instance()
     ag.backward(loss_fn())
-    return [name for name, p in params.items() if not p.grad.data.any()]
+    return [name for name, p in params.items() if not p.grad.any()]
 
 
 class CheckResult:
@@ -164,7 +164,7 @@ def _check_fedavg_identity() -> CheckResult:
     params = randomized_translator_params(tcfg, seed=3)
     updates = [ClientUpdate(i, params.copy(), 8, 0.0) for i in range(3)]
     merged = fedavg(updates)
-    same = np.array_equal(merged.flatten().data, params.flatten().data)
+    same = np.array_equal(merged.flatten(), params.flatten())
     return CheckResult("fedavg-identity", same, "3 identical updates, bitwise")
 
 
@@ -175,9 +175,7 @@ def _check_container_round_trip() -> CheckResult:
         path = os.path.join(tmp, "probe.ftpg")
         save_checkpoint(path, params, "probe=1\n")
         loaded, echo = load_checkpoint(path)
-    same = (
-        np.array_equal(loaded.flatten().data, params.flatten().data) and echo == "probe=1\n"
-    )
+    same = np.array_equal(loaded.flatten(), params.flatten()) and echo == "probe=1\n"
     return CheckResult("container-round-trip", same, "checkpoint save/load, bitwise")
 
 

@@ -52,12 +52,12 @@ def class_features(
     trans_cfg: TranslatorConfig,
     class_ids,
 ) -> np.ndarray:
-    """Unit text features for the given classes, one row per class.
+    """Read-only unit text features for the given classes, one row per class.
 
     With params None the context is all zeros, which reduces every
     feature to the raw class-name embedding: the zero-context baseline.
     """
-    return class_text_features(params, trans_cfg, world, class_ids).value.numpy()
+    return class_text_features(params, trans_cfg, world, class_ids).value
 
 
 def evaluate(

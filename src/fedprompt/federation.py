@@ -22,7 +22,7 @@ import numpy as np
 
 from fedprompt import autograd as ag
 from fedprompt.autograd import ParameterSet
-from fedprompt.errors import ConfigError, ContractError, SchemaError
+from fedprompt.errors import ConfigError, ContractError, NumericError, SchemaError
 from fedprompt.partition import FewShotSet
 from fedprompt.seeding import rng_for
 from fedprompt.translator import TranslatorConfig, translate_one
@@ -79,9 +79,9 @@ def sgd_step(
     for name, p in params.items():
         if p.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient; run backward first")
-        g = p.grad.data + cfg.weight_decay * p.value.data
+        g = p.grad + cfg.weight_decay * p.value
         velocity[name] = cfg.momentum * velocity[name] + g
-        p.set_value(p.value.data - lr * velocity[name])
+        p.set_value(p.value - lr * velocity[name])
 
 
 @dataclass
@@ -105,7 +105,7 @@ def class_text_features(
     translator pass gives every class its context, one head pass every
     feature.  With params None the context is all zeros, which reduces
     every feature to the raw class-name embedding: the zero-context
-    baseline.
+    baseline.  Raises NumericError if any feature is not finite.
     """
     ids = list(class_ids)
     if min(ids, default=0) < 0:
@@ -115,7 +115,10 @@ def class_text_features(
         ctx = ag.constant(np.zeros((len(emb) * trans_cfg.n_ctx, trans_cfg.d_model)))
     else:
         ctx = translate_one(params, trans_cfg, ag.constant(emb))
-    return text_feature(world.head, emb, ctx)
+    feats = text_feature(world.head, emb, ctx)
+    if not np.isfinite(feats.value).all():
+        raise NumericError("class text features have non-finite values")
+    return feats
 
 
 def class_logits(
@@ -211,10 +214,10 @@ def fedavg(updates: list[ClientUpdate]) -> ParameterSet:
             raise SchemaError(
                 f"clients {ordered[0].client_id} and {u.client_id} disagree: {err}"
             ) from None
-    mean = ordered[0].params.flatten().numpy()
+    mean = ordered[0].params.flatten()
     for i, u in enumerate(ordered[1:], start=2):
-        mean += (u.params.flatten().data - mean) / i
-    return schema_owner.unflatten(ag.Tensor(mean))
+        mean += (u.params.flatten() - mean) / i
+    return schema_owner.unflatten(mean)
 
 
 @dataclass

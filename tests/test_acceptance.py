@@ -105,20 +105,20 @@ def test_fedavg_identities():
 
     single = update(0, 1)
     single_ok = np.array_equal(
-        fedavg([single]).flatten().data, single.params.flatten().data
+        fedavg([single]).flatten(), single.params.flatten()
     )
 
     identical_ok = True
     for k in (3, 7):
         copies = [ClientUpdate(i, single.params.copy(), 8, 0.0) for i in range(k)]
         identical_ok &= np.array_equal(
-            fedavg(copies).flatten().data, single.params.flatten().data
+            fedavg(copies).flatten(), single.params.flatten()
         )
 
     distinct = [update(i, 10 + i) for i in range(3)]
     shuffled = [distinct[2], distinct[0], distinct[1]]
     order_ok = np.array_equal(
-        fedavg(distinct).flatten().data, fedavg(shuffled).flatten().data
+        fedavg(distinct).flatten(), fedavg(shuffled).flatten()
     )
 
     ok = single_ok and identical_ok and order_ok
@@ -164,7 +164,7 @@ def test_centralized_equivalence():
         )
         params = upd.params
 
-    ok = np.array_equal(federated.flatten().data, params.flatten().data)
+    ok = np.array_equal(federated.flatten(), params.flatten())
     msg = _line(
         "centralized-equivalence", ok, f"N=1 fraction=1 T={rounds} matches sequential, bitwise"
     )
@@ -327,7 +327,7 @@ def test_container_round_trip_and_rejection(tmp_path):
     save_checkpoint(str(ckpt), params, "probe=1\n")
     loaded, echo = load_checkpoint(str(ckpt))
     ckpt_ok = (
-        np.array_equal(loaded.flatten().data, params.flatten().data) and echo == "probe=1\n"
+        np.array_equal(loaded.flatten(), params.flatten()) and echo == "probe=1\n"
     )
 
     world = build_world(WorldConfig(d=16, n_base=4, n_new=2, seed=5))

@@ -9,7 +9,6 @@ from fedprompt.autograd import (
     DiffNode,
     Parameter,
     ParameterSet,
-    Tensor,
     add,
     backward,
     constant,
@@ -38,33 +37,75 @@ def probe(node: DiffNode, seed: int) -> DiffNode:
     return matmul(matmul(u, node), v)
 
 
-class TestTensor:
+class TestParameterValue:
     def test_dtype_and_layout(self):
-        t = Tensor([[1, 2], [3, 4]])
-        assert t.data.dtype == np.float64
-        assert t.data.flags.c_contiguous
+        p = Parameter("w", [[1, 2], [3, 4]])
+        assert p.value.dtype == np.float64
+        assert p.value.flags.c_contiguous
+        fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        p.set_value(fortran)
+        assert p.value.flags.c_contiguous
+        assert np.array_equal(p.value, fortran)
+
+    def test_value_is_a_private_copy(self):
+        src = np.ones(3)
+        p = Parameter("w", src)
+        src[0] = 5.0
+        p.set_value(src)
+        src[1] = 7.0
+        assert np.array_equal(p.value, [5.0, 1.0, 1.0])
 
     def test_rejects_nan_and_inf(self):
-        with pytest.raises(NumericError):
-            Tensor([1.0, np.nan])
-        with pytest.raises(NumericError):
-            Tensor([np.inf])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NumericError):
+                Parameter("w", [1.0, bad])
+            p = Parameter("w", [1.0, 2.0])
+            with pytest.raises(NumericError):
+                p.set_value([bad, 2.0])
 
-    def test_read_only(self):
-        t = Tensor([1.0, 2.0])
-        with pytest.raises(ValueError):
-            t.data[0] = 5.0
+    def test_values_read_only(self):
+        a = Parameter("a", np.ones((2, 3)))
+        gain, bias = Parameter("gain", np.ones(3)), Parameter("bias", np.zeros(3))
+        nodes = [
+            a,
+            add(a, a),
+            scale(a, 2.0),
+            matmul(a, transpose(a)),
+            transpose(a),
+            layer_norm(a, gain, bias),
+            gelu(a),
+            geglu(matmul(a, constant(np.ones((3, 4))))),
+            l2_normalize(a),
+            cross_entropy(a, [0, 2]),
+            constant(np.ones(2)),
+        ]
+        for node in nodes:
+            assert isinstance(node.value, np.ndarray) and node.value.dtype == np.float64
+            with pytest.raises(ValueError):
+                node.value[...] = 0.0
+        a.set_value(np.zeros((2, 3)))
+        assert not a.value.flags.writeable
 
-    def test_item_requires_single_element(self):
-        assert Tensor(3.5).item() == 3.5
-        with pytest.raises(DimensionError):
-            Tensor([1.0, 2.0]).item()
+
+class TestValueLayout:
+    def test_transpose_is_c_contiguous(self):
+        x = Parameter("x", np.arange(6.0).reshape(2, 3))
+        out = transpose(x)
+        assert out.value.flags.c_contiguous
+        assert np.array_equal(out.value, np.arange(6.0).reshape(2, 3).T)
+
+    def test_constant_leaves_caller_array_writable(self):
+        x = np.zeros((2, 2))
+        node = constant(x)
+        assert not node.value.flags.writeable
+        x[0, 0] = 1.0
+        assert x.flags.writeable
 
 
 class TestForwardOracles:
     def test_matmul_small(self):
         out = matmul(constant([[1.0, 2.0], [3.0, 4.0]]), constant([[5.0, 6.0], [7.0, 8.0]]))
-        assert np.array_equal(out.value.data, [[19.0, 22.0], [43.0, 50.0]])
+        assert np.array_equal(out.value, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_matmul_shape_error(self):
         with pytest.raises(DimensionError):
@@ -82,17 +123,17 @@ class TestForwardOracles:
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)  # population variance
         expected = (x - mu) / np.sqrt(var + 1e-5) * gain + bias
-        assert np.allclose(out.value.data, expected, rtol=0, atol=1e-15)
+        assert np.allclose(out.value, expected, rtol=0, atol=1e-15)
 
     def test_gelu_known_points(self):
         out = gelu(constant([[0.0, 1.0, -1.0]]))
         expected = np.array([[0.0, PHI_1, -(1.0 - PHI_1)]])
-        assert np.allclose(out.value.data, expected, rtol=0, atol=1e-12)
+        assert np.allclose(out.value, expected, rtol=0, atol=1e-12)
 
     def test_geglu_halves(self):
         out = geglu(constant([[2.0, 0.5, 1.0, 0.0]]))
         # value [2, 0.5] gated by gelu([1, 0]) = [PHI_1, 0]
-        assert np.allclose(out.value.data, [[2.0 * PHI_1, 0.0]], rtol=0, atol=1e-12)
+        assert np.allclose(out.value, [[2.0 * PHI_1, 0.0]], rtol=0, atol=1e-12)
 
     def test_geglu_odd_width_rejected(self):
         with pytest.raises(DimensionError):
@@ -100,12 +141,12 @@ class TestForwardOracles:
 
     def test_l2_normalize_rows(self):
         out = l2_normalize(constant([[3.0, 4.0], [0.0, 2.0]]))
-        assert np.allclose(out.value.data, [[0.6, 0.8], [0.0, 1.0]], rtol=0, atol=1e-15)
+        assert np.allclose(out.value, [[0.6, 0.8], [0.0, 1.0]], rtol=0, atol=1e-15)
 
     def test_l2_normalize_tiny_row_uses_epsilon(self):
         x = np.array([[1e-12, 0.0]])
         out = l2_normalize(constant(x))
-        assert np.allclose(out.value.data, x / 1e-8, rtol=0, atol=1e-20)
+        assert np.allclose(out.value, x / 1e-8, rtol=0, atol=1e-20)
 
     def test_cross_entropy_uniform(self):
         logits = constant(np.zeros((3, 5)))
@@ -115,6 +156,11 @@ class TestForwardOracles:
     def test_cross_entropy_known_value(self):
         out = cross_entropy(constant([[0.0, np.log(3.0)]]), [1])
         assert abs(out.value.item() - (-np.log(0.75))) < 1e-15
+
+    def test_cross_entropy_rejects_non_finite_logits(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+                cross_entropy(constant([[bad, 0.0], [1.0, 2.0]]), [1, 0])
 
     def test_cross_entropy_label_out_of_range(self):
         with pytest.raises(IndexError):
@@ -126,14 +172,14 @@ class TestBackward:
         x = Parameter("x", [[2.0]])
         y = add(x, x)
         backward(y)
-        assert x.grad.data[0, 0] == 2.0
+        assert x.grad[0, 0] == 2.0
 
     def test_second_backward_overwrites(self):
         x = Parameter("x", [[2.0]])
         y = add(x, x)
         backward(y)
         backward(y)
-        assert x.grad.data[0, 0] == 2.0  # not 4.0
+        assert x.grad[0, 0] == 2.0  # not 4.0
 
     def test_scalar_root_required(self):
         x = Parameter("x", np.ones((2, 2)))
@@ -146,8 +192,8 @@ class TestBackward:
         b = Parameter("b", [[5.0], [6.0]])
         out = matmul(constant([[1.0, 1.0]]), matmul(a, b))
         backward(out)
-        assert np.array_equal(a.grad.data, [[5.0, 6.0], [5.0, 6.0]])
-        assert np.array_equal(b.grad.data, [[4.0], [6.0]])
+        assert np.array_equal(a.grad, [[5.0, 6.0], [5.0, 6.0]])
+        assert np.array_equal(b.grad, [[4.0], [6.0]])
 
 def check_unary(op, shape, seed, **kwargs):
     rng = np.random.default_rng(seed)
@@ -158,6 +204,16 @@ def check_unary(op, shape, seed, **kwargs):
 
 
 class TestGradCheckPerOp:
+    def test_nan_gradient_raises(self):
+        x = Parameter("x", np.ones((1, 2)))
+
+        def loss():
+            nan_rule = DiffNode(np.ones((1, 2)), (x,), lambda g: (g * np.nan,), op="nan_rule")
+            return cross_entropy(add(x, nan_rule), [0])
+
+        with pytest.raises(NumericError):
+            grad_check(loss, ParameterSet([x]))
+
     def test_add_scale(self):
         rng = np.random.default_rng(0)
         a = Parameter("a", rng.standard_normal((3, 4)))
@@ -242,12 +298,12 @@ class TestParameterSet:
         assert flat.shape == (17,)
         rebuilt = ps.unflatten(flat)
         for name, p in ps.items():
-            assert np.array_equal(rebuilt[name].value.data, p.value.data)
+            assert np.array_equal(rebuilt[name].value, p.value)
 
     def test_unflatten_wrong_length(self):
         ps = self.make()
         with pytest.raises(SchemaError):
-            ps.unflatten(Tensor(np.zeros(5)))
+            ps.unflatten(np.zeros(5))
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(SchemaError):
@@ -263,7 +319,7 @@ class TestParameterSet:
         ps = self.make()
         dup = ps.copy()
         dup["bias"].set_value(np.array([0.0, 0.0]))
-        assert np.array_equal(ps["bias"].value.data, [7.0, 8.0])
+        assert np.array_equal(ps["bias"].value, [7.0, 8.0])
 
     def test_missing_name(self):
         with pytest.raises(SchemaError):

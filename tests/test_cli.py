@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedprompt.autograd import Parameter, ParameterSet
+from fedprompt import container
 from fedprompt.cli import main
 from fedprompt.config import canonical_text, extract_round, load_config, with_round_marker
 from fedprompt.container import load_checkpoint, load_embeddings_file, save_checkpoint
@@ -60,6 +65,15 @@ class TestDispatch:
         assert main(["train", "--bogus"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_python_m_fedprompt_without_warning(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "fedprompt", "--help"], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0
+        assert "make-world" in done.stdout
+        assert "RuntimeWarning" not in done.stderr
+
 
 class TestMakeWorld:
     def test_writes_loadable_file(self, tmp_path, tiny_cfg, capsys):
@@ -85,6 +99,14 @@ class TestMakeWorld:
     def test_bad_override_key(self, tiny_cfg, capsys):
         assert main(["make-world", "--config", tiny_cfg, "--set", "world.zzz=1"]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_non_finite_override_writes_nothing(self, tmp_path, tiny_cfg, capsys):
+        out = tmp_path / "w.ftpe"
+        for raw in ("nan", "inf", "-inf"):
+            args = ["make-world", "--config", tiny_cfg, "--set", f"world.sigma_text={raw}"]
+            assert main([*args, "--out", str(out)]) == 1
+            assert "world.sigma_text" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(tiny_cfg)]
 
 
 class TestTrain:
@@ -122,6 +144,20 @@ class TestTrain:
         ckpt_b, _ = _train(b, tiny_cfg)
         assert open(ckpt_a, "rb").read() == open(ckpt_b, "rb").read()
 
+    def test_failed_checkpoint_write_keeps_previous_bytes(self, tmp_path, tiny_cfg, monkeypatch):
+        ckpt, log = _train(tmp_path, tiny_cfg)
+        before = Path(ckpt).read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(container.os, "replace", failing_replace)
+        code = main(["train", "--config", tiny_cfg, "--set", "optimizer.lr0=0.5",
+                     "--checkpoint", ckpt, "--log", log])
+        assert code == 2
+        assert Path(ckpt).read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_echo_reproduces_config(self, tmp_path, tiny_cfg):
         from fedprompt.config import build_config, parse_config_text
 
@@ -148,7 +184,7 @@ class TestEval:
         params, _ = load_checkpoint(ckpt)
         cfg = load_config(None, [l.replace("\n", "") for l in TINY.splitlines()])
         init = init_translator_params(cfg.translator, cfg.master_seed)
-        assert np.array_equal(params.flatten().data, init.flatten().data)
+        assert np.array_equal(params.flatten(), init.flatten())
         out = str(tmp_path / "eval.json")
         assert main(["eval", "--checkpoint", ckpt, "--out", out]) == 0
         payload = json.loads(open(out).read())
@@ -190,6 +226,21 @@ class TestEval:
         out = tmp_path / "eval.json"
         assert main(["eval", "--checkpoint", ckpt, "--out", str(out)]) == 1
         assert "translator.kv_len" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_overflowing_checkpoint_refused(self, tmp_path, capsys):
+        # finite weights whose products overflow in the forward pass
+        cfg = load_config(None, ["world.d=16"])
+        params = init_translator_params(cfg.translator, 0)
+        for name in ("W_v", "W_o"):
+            params[name].set_value(np.full(params[name].shape, 1e300))
+        ckpt = str(tmp_path / "huge.ftpg")
+        save_checkpoint(ckpt, params, with_round_marker(canonical_text(cfg), 50))
+        out = tmp_path / "eval.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["eval", "--checkpoint", ckpt, "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
         assert not out.exists()
 
 

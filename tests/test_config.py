@@ -106,6 +106,17 @@ class TestOverrides:
             apply_overrides(default_values(), ["federation.rounds=many"])
 
 
+    def test_non_finite_float_rejected_naming_key(self):
+        float_keys = [key for key, spec in KEYS.items() if spec.type is float]
+        assert len(float_keys) == 9
+        for key in float_keys:
+            for raw in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigError, match=re.escape(key)):
+                    parse_config_text(f"{key}={raw}\n")
+                with pytest.raises(ConfigError, match=re.escape(key)):
+                    apply_overrides(default_values(), [f"{key}={raw}"])
+
+
 class TestValidation:
     def test_partition_capacity_enforced(self):
         with pytest.raises(ConfigError, match="exceeds"):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from fedprompt import container
 from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.container import (
     CHECKPOINT_MAGIC,
@@ -39,7 +40,7 @@ class TestRoundTrip:
         assert config_text == "alpha=1\nbeta=two\n"
         assert loaded.names() == params.names()
         for name, p in params.items():
-            assert np.array_equal(loaded[name].value.data, p.value.data)
+            assert np.array_equal(loaded[name].value, p.value)
 
     def test_embeddings_bitwise(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -67,6 +68,20 @@ class TestRoundTrip:
     def test_no_temp_file_left(self, tmp_path):
         path = tmp_path / "d.ftpg"
         save_checkpoint(path, small_params(), "")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_replace_removes_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.ftpg"
+        save_checkpoint(path, small_params(), "old\n")
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(container.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, small_params(), "new\n")
+        assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
     def test_empty_container(self, tmp_path):

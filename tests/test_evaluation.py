@@ -82,9 +82,9 @@ class TestEvaluate:
 
     def test_params_not_mutated(self, world):
         params = init_translator_params(TRANS, 9)
-        before = params.flatten().numpy()
+        before = params.flatten()
         evaluate(params, world, TRANS, "base", 5, 0.01, seed=8)
-        assert np.array_equal(params.flatten().data, before)
+        assert np.array_equal(params.flatten(), before)
 
     def test_bad_n_test(self, world):
         with pytest.raises(ConfigError):
@@ -106,7 +106,7 @@ class TestFeatures:
         params["W_o"].set_value(np.random.default_rng(0).standard_normal((16, 16)))
         ids = [1, 4, 7]
         images = np.stack([world.center(c) for c in ids])
-        logits = class_logits(params, TRANS, world, ids, images, 0.5).value.data
+        logits = class_logits(params, TRANS, world, ids, images, 0.5).value
         feats = class_features(params, world, TRANS, ids)
         assert np.allclose(logits, images @ feats.T / 0.5, rtol=0, atol=1e-12)
 

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from fedprompt.autograd import Parameter, ParameterSet, Tensor, backward
+from fedprompt.autograd import Parameter, ParameterSet, backward
 from fedprompt import autograd as ag
-from fedprompt.errors import ConfigError, ContractError, SchemaError
+from fedprompt.errors import ConfigError, ContractError, NumericError, SchemaError
 from fedprompt.federation import (
     ClientUpdate,
     OptimizerConfig,
@@ -70,18 +70,18 @@ class TestSgdStep:
         cfg = OptimizerConfig(lr0=0.1, momentum=0.9, weight_decay=0.0)
         vel = {"w": np.zeros(1)}
         for expected in (0.9, 0.71):
-            p.grad = Tensor([1.0])
+            p.grad = np.array([1.0])
             sgd_step(ParameterSet([p]), vel, 0.1, cfg)
-            assert abs(p.value.data[0] - expected) < 1e-15
+            assert abs(p.value[0] - expected) < 1e-15
         assert abs(vel["w"][0] - 1.9) < 1e-15
 
     def test_weight_decay_joins_gradient(self):
         p = Parameter("w", [2.0])
-        p.grad = Tensor([0.0])
+        p.grad = np.array([0.0])
         cfg = OptimizerConfig(lr0=0.1, momentum=0.0, weight_decay=0.5)
         sgd_step(ParameterSet([p]), {"w": np.zeros(1)}, 0.1, cfg)
         # v = 0 + 0.5*2 = 1, theta = 2 - 0.1
-        assert abs(p.value.data[0] - 1.9) < 1e-15
+        assert abs(p.value[0] - 1.9) < 1e-15
 
     def test_missing_grad_rejected(self):
         p = Parameter("w", [1.0])
@@ -93,10 +93,10 @@ class TestSgdStep:
         theta = rng.standard_normal(20)
         grad = rng.standard_normal(20)
         p = Parameter("w", theta)
-        p.grad = Tensor(grad)
+        p.grad = np.array(grad)
         cfg = OptimizerConfig(lr0=0.07, momentum=0.0, weight_decay=0.0)
         sgd_step(ParameterSet([p]), {"w": np.zeros(20)}, 0.07, cfg)
-        assert np.max(np.abs(p.value.data - (theta - 0.07 * grad))) < 1e-15
+        assert np.max(np.abs(p.value - (theta - 0.07 * grad))) < 1e-15
 
 
 class TestSelectClients:
@@ -127,24 +127,24 @@ class TestFedAvg:
     def test_mean_frozen_value(self):
         merged = fedavg([self.make_update(0, [1.0]), self.make_update(1, [2.0]),
                          self.make_update(2, [6.0])])
-        assert merged["w"].value.data[0] == 3.0
+        assert merged["w"].value[0] == 3.0
 
     def test_single_client_bitwise(self):
         values = np.random.default_rng(0).standard_normal(7)
         merged = fedavg([self.make_update(3, values)])
-        assert np.array_equal(merged["w"].value.data, values)
+        assert np.array_equal(merged["w"].value, values)
 
     def test_identical_clients_bitwise(self):
         values = np.random.default_rng(1).standard_normal(9)
         merged = fedavg([self.make_update(i, values) for i in range(3)])
-        assert np.array_equal(merged["w"].value.data, values)
+        assert np.array_equal(merged["w"].value, values)
 
     def test_order_invariant_bitwise(self):
         rng = np.random.default_rng(2)
         updates = [self.make_update(i, rng.standard_normal(11)) for i in range(4)]
         a = fedavg(updates)
         b = fedavg(list(reversed(updates)))
-        assert np.array_equal(a["w"].value.data, b["w"].value.data)
+        assert np.array_equal(a["w"].value, b["w"].value)
 
     def test_schema_mismatch_names_clients(self):
         bad = ClientUpdate(9, ParameterSet([Parameter("w", [1.0, 2.0])]), 4, 0.5)
@@ -194,15 +194,15 @@ class TestClassTextFeatures:
 
     def test_trained_features_match_per_class_loop(self, world):
         params = self.trained_params(world)
-        assert params["W_o"].value.data.any() and params["ffn_out"].value.data.any()
-        batched = class_text_features(params, TRANS, world, self.IDS).value.data
-        loop = np.concatenate([f.value.data for f in loop_features(params, world, self.IDS)])
+        assert params["W_o"].value.any() and params["ffn_out"].value.any()
+        batched = class_text_features(params, TRANS, world, self.IDS).value
+        loop = np.concatenate([f.value for f in loop_features(params, world, self.IDS)])
         assert batched.shape == (5, 16)
         assert np.max(np.abs(batched - loop)) < 1e-12
 
     def test_zero_context_features_match_per_class_loop(self, world):
-        batched = class_text_features(None, TRANS, world, self.IDS).value.data
-        loop = np.concatenate([f.value.data for f in loop_features(None, world, self.IDS)])
+        batched = class_text_features(None, TRANS, world, self.IDS).value
+        loop = np.concatenate([f.value for f in loop_features(None, world, self.IDS)])
         assert np.max(np.abs(batched - loop)) < 1e-12
 
     def test_gradients_match_per_class_loop(self, world):
@@ -219,12 +219,12 @@ class TestClassTextFeatures:
 
         feats = class_text_features(params, TRANS, world, self.IDS)
         backward(total([ag.matmul(ag.constant(np.eye(k)[i : i + 1]), feats) for i in range(k)]))
-        batched = {name: p.grad.numpy() for name, p in params.items()}
+        batched = {name: p.grad.copy() for name, p in params.items()}
         backward(total(loop_features(params, world, self.IDS)))
-        scale = max(np.abs(p.grad.data).max() for p in params)
+        scale = max(np.abs(p.grad).max() for p in params)
         assert scale > 0
         for name, p in params.items():
-            assert np.max(np.abs(batched[name] - p.grad.data)) / scale < 1e-12, name
+            assert np.max(np.abs(batched[name] - p.grad)) / scale < 1e-12, name
 
     def test_step_graph_size_independent_of_class_count(self, world):
         params = init_translator_params(TRANS, 3)
@@ -239,14 +239,22 @@ class TestClassTextFeatures:
         with pytest.raises(IndexError):
             class_text_features(None, TRANS, world, [0, -1])
 
+    def test_overflowing_forward_raises(self, world):
+        # finite weights whose products overflow inside the translator
+        params = init_translator_params(TRANS, 0)
+        for name in ("W_v", "W_o"):
+            params[name].set_value(np.full(params[name].shape, 1e300))
+        with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+            class_text_features(params, TRANS, world, [0, 1])
+
 
 class TestLocalUpdate:
     def test_global_params_untouched(self, world):
         datasets, params = small_setup(world)
-        before = params.flatten().numpy()
+        before = params.flatten()
         local_update(params, world, datasets[0], OPT, TRANS, 1, 0.05,
                      np.random.default_rng(0), 0)
-        assert np.array_equal(params.flatten().data, before)
+        assert np.array_equal(params.flatten(), before)
 
     def test_deterministic_given_rng_seed(self, world):
         datasets, params = small_setup(world)
@@ -254,21 +262,30 @@ class TestLocalUpdate:
                          np.random.default_rng(5), 0)
         b = local_update(params, world, datasets[0], OPT, TRANS, 2, 0.05,
                          np.random.default_rng(5), 0)
-        assert np.array_equal(a.params.flatten().data, b.params.flatten().data)
+        assert np.array_equal(a.params.flatten(), b.params.flatten())
         assert a.mean_loss == b.mean_loss
 
     def test_training_moves_parameters(self, world):
         datasets, params = small_setup(world)
         update = local_update(params, world, datasets[0], OPT, TRANS, 1, 0.05,
                               np.random.default_rng(1), 0)
-        assert not np.array_equal(update.params.flatten().data, params.flatten().data)
+        assert not np.array_equal(update.params.flatten(), params.flatten())
         assert update.n_samples == len(datasets[0])
+
+    def test_overflowing_step_raises(self, world):
+        # decay 10 at lr 1e308 sends W_v (std 1/4) past the float64 range
+        # in the first step, before any forward pass sees the new values
+        datasets, params = small_setup(world)
+        opt = OptimizerConfig(lr0=0.05, temperature=0.5, batch_size=4, weight_decay=10.0)
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
+            local_update(params, world, datasets[0], opt, TRANS, 1, 1e308,
+                         np.random.default_rng(2), 0)
 
     def test_zero_lr_keeps_values(self, world):
         datasets, params = small_setup(world)
         update = local_update(params, world, datasets[0], OPT, TRANS, 1, 0.0,
                               np.random.default_rng(2), 0)
-        assert np.array_equal(update.params.flatten().data, params.flatten().data)
+        assert np.array_equal(update.params.flatten(), params.flatten())
 
     def test_loss_decreases_over_epochs(self, world):
         datasets, params = small_setup(world, shots=4)
@@ -285,7 +302,7 @@ class TestRunTraining:
         datasets, params = small_setup(world)
         a, logs_a = run_training(world, datasets, OPT, TRANS, params, 3, 1, 1.0, seed=42)
         b, logs_b = run_training(world, datasets, OPT, TRANS, params, 3, 1, 1.0, seed=42)
-        assert np.array_equal(a.flatten().data, b.flatten().data)
+        assert np.array_equal(a.flatten(), b.flatten())
         assert [l.to_json_line() for l in logs_a] == [l.to_json_line() for l in logs_b]
 
     def test_manual_loop_reproduces_bitwise(self, world):
@@ -303,7 +320,7 @@ class TestRunTraining:
                 for cid in select_clients(len(datasets), 1.0, seed, t)
             ]
             current = fedavg(updates)
-        assert np.array_equal(trained.flatten().data, current.flatten().data)
+        assert np.array_equal(trained.flatten(), current.flatten())
 
     def test_round_log_contents(self, world):
         datasets, params = small_setup(world)

@@ -52,7 +52,7 @@ class TestSchema:
         params = randomized_params(CFG16, 5)
         rebuilt = params.unflatten(params.flatten())
         for name, p in params.items():
-            assert np.array_equal(rebuilt[name].value.data, p.value.data)
+            assert np.array_equal(rebuilt[name].value, p.value)
 
 
 class TestInit:
@@ -60,20 +60,20 @@ class TestInit:
         a = init_translator_params(CFG16, 123)
         b = init_translator_params(CFG16, 123)
         for name, p in a.items():
-            assert np.array_equal(p.value.data, b[name].value.data)
+            assert np.array_equal(p.value, b[name].value)
 
     def test_seed_changes_values(self):
         a = init_translator_params(CFG16, 1)
         b = init_translator_params(CFG16, 2)
-        assert not np.array_equal(a["queries"].value.data, b["queries"].value.data)
+        assert not np.array_equal(a["queries"].value, b["queries"].value)
 
     def test_zero_started_tensors(self):
         params = init_translator_params(CFG16, 7)
-        assert params["W_v"].value.data.any()  # projections stay random
-        assert not params["W_o"].value.data.any()
-        assert not params["ffn_out"].value.data.any()
-        assert np.array_equal(params["ln2_gain"].value.data, np.ones(16))
-        assert not params["ln2_bias"].value.data.any()
+        assert params["W_v"].value.any()  # projections stay random
+        assert not params["W_o"].value.any()
+        assert not params["ffn_out"].value.any()
+        assert np.array_equal(params["ln2_gain"].value, np.ones(16))
+        assert not params["ln2_bias"].value.any()
 
     def test_retired_draws_keep_later_values(self):
         # two [d, d] draws between queries and W_v hold the place of the
@@ -84,12 +84,12 @@ class TestInit:
         rng.standard_normal((16, 16))
         expected = rng.standard_normal((16, 16)) / 4.0
         params = init_translator_params(CFG16, 5)
-        assert np.array_equal(params["W_v"].value.data, expected)
+        assert np.array_equal(params["W_v"].value, expected)
 
     def test_query_scale(self):
         cfg = TranslatorConfig(d_model=64, n_ctx=64, ffn_mult=2)
         params = init_translator_params(cfg, 11)
-        std = params["queries"].value.data.std()
+        std = params["queries"].value.std()
         assert 0.015 < std < 0.025
 
 
@@ -100,9 +100,9 @@ class TestAttention:
         params = randomized_params(CFG16, 61)
         params["ffn_out"].set_value(np.zeros((CFG16.d_ffn, 16)))  # close the feed-forward
         emb = np.random.default_rng(8).standard_normal((1, 16))
-        out = translate_one(params, CFG16, ag.constant(emb)).value.data
-        row = (emb @ params["W_v"].value.data) @ params["W_o"].value.data
-        expected = params["queries"].value.data + np.repeat(row, 4, axis=0)
+        out = translate_one(params, CFG16, ag.constant(emb)).value
+        row = (emb @ params["W_v"].value) @ params["W_o"].value
+        expected = params["queries"].value + np.repeat(row, 4, axis=0)
         assert np.max(np.abs(out - expected)) < 1e-12
 
 
@@ -111,7 +111,7 @@ class TestForward:
         params = init_translator_params(CFG16, 3)
         emb = np.random.default_rng(0).standard_normal((1, 16))
         out = translate_one(params, CFG16, ag.constant(emb))
-        assert np.array_equal(out.value.data, params["queries"].value.data)
+        assert np.array_equal(out.value, params["queries"].value)
 
     def test_wrong_width_rejected(self):
         params = init_translator_params(CFG16, 3)
@@ -127,17 +127,17 @@ class TestForward:
     def test_batch_rows_are_single_class_contexts(self):
         params = randomized_params(CFG16, 21)
         emb = np.random.default_rng(6).standard_normal((3, 16))
-        batched = translate_one(params, CFG16, ag.constant(emb)).value.data
+        batched = translate_one(params, CFG16, ag.constant(emb)).value
         for i in range(3):
-            one = translate_one(params, CFG16, ag.constant(emb[i : i + 1])).value.data
+            one = translate_one(params, CFG16, ag.constant(emb[i : i + 1])).value
             assert np.max(np.abs(batched[4 * i : 4 * i + 4] - one)) < 1e-12
 
     def test_distinct_kv_give_distinct_context(self):
         params = randomized_params(CFG16, 41)
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((1, 16)), rng.standard_normal((1, 16))
-        ctx_a = translate_one(params, CFG16, ag.constant(a)).value.data
-        ctx_b = translate_one(params, CFG16, ag.constant(b)).value.data
+        ctx_a = translate_one(params, CFG16, ag.constant(a)).value
+        ctx_b = translate_one(params, CFG16, ag.constant(b)).value
         assert not np.array_equal(ctx_a, ctx_b)
 
 

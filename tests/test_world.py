@@ -136,14 +136,14 @@ class TestTextFeature:
         ids = range(0, 80, 7)
         emb = emb_rows(world, ids)
         zero_ctx = ag.constant(np.zeros((m * len(emb), CFG.d)))
-        feat = text_feature(world.head, emb, zero_ctx).value.data
+        feat = text_feature(world.head, emb, zero_ctx).value
         assert feat.shape == emb.shape
         assert np.max(np.abs(feat - emb)) < 1e-12
 
     def test_nonzero_context_moves_feature(self, world):
         ctx = ag.constant(np.random.default_rng(4).standard_normal((4, CFG.d)))
         emb = emb_rows(world, [0])
-        feat = text_feature(world.head, emb, ctx).value.data
+        feat = text_feature(world.head, emb, ctx).value
         assert np.max(np.abs(feat - emb)) > 1e-3
         assert abs(np.linalg.norm(feat) - 1.0) < 1e-9
 
@@ -160,11 +160,11 @@ class TestTextFeature:
     def test_classes_pool_only_their_own_rows(self, world):
         ids = [3, 8, 40]
         ctx = np.random.default_rng(7).standard_normal((3 * 4, CFG.d))
-        batched = text_feature(world.head, emb_rows(world, ids), ag.constant(ctx)).value.data
+        batched = text_feature(world.head, emb_rows(world, ids), ag.constant(ctx)).value
         for i, class_id in enumerate(ids):
             one = text_feature(
                 world.head, emb_rows(world, [class_id]), ag.constant(ctx[4 * i : 4 * i + 4])
-            ).value.data
+            ).value
             assert np.max(np.abs(batched[i] - one[0])) < 1e-12
 
     def test_gradient_reaches_context(self, world):
