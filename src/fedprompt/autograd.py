@@ -6,13 +6,18 @@ gradients.  backward() walks the graph once in reverse topological order
 and overwrites .grad on every node it visits, so calling it twice on the
 same graph gives identical results.
 
-The op set is deliberately small and strict: 2-D matrices almost
-everywhere, no implicit broadcasting except the layer_norm affine pair,
-no in-place mutation of node values.  All math is float64 on plain,
-read-only ndarrays.  Finiteness is checked where state and results leave
-the graph, raising NumericError: Parameter values (init, load, fedavg,
-every SGD step), the cross_entropy loss, the analytic gradients in
-grad_check, and federation.class_text_features.
+The generic op set is deliberately small and strict: constant, scale,
+matmul, transpose and cross_entropy, on 2-D matrices except the scalar
+loss, with no broadcasting and no in-place mutation of node values.
+Larger blocks of the model are single nodes with hand-written backward
+rules built on the same DiffNode (translator.translate_one and
+world.text_feature); both take their exact GELU from gelu_cdf and
+gelu_slope here, so the backward pass reuses the forward's erf.  All
+math is float64 on plain, read-only ndarrays.  Finiteness is checked
+where state and results leave the graph, raising NumericError:
+Parameter values (init, load, fedavg, every SGD step), the cross_entropy
+loss, the analytic gradients in grad_check, and
+federation.class_text_features.
 """
 
 from __future__ import annotations
@@ -26,9 +31,6 @@ from fedprompt.errors import DimensionError, NumericError, SchemaError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-LAYER_NORM_EPS = 1e-5
-L2_NORM_EPS = 1e-8
 
 
 def _checked(name: str, value) -> np.ndarray:
@@ -171,20 +173,9 @@ def _as_node(x) -> DiffNode:
     return x if isinstance(x, DiffNode) else constant(x)
 
 
-def _need_same_shape(a: DiffNode, b: DiffNode, op: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op} needs equal shapes, got {a.shape} and {b.shape}")
-
-
 def _need_2d(x: DiffNode, op: str) -> None:
     if x.value.ndim != 2:
         raise DimensionError(f"{op} needs a 2-D operand, got shape {x.shape}")
-
-
-def add(a: DiffNode, b: DiffNode) -> DiffNode:
-    a, b = _as_node(a), _as_node(b)
-    _need_same_shape(a, b, "add")
-    return DiffNode(a.value + b.value, (a, b), lambda g: (g, g), op="add")
 
 
 def scale(a: DiffNode, s: float) -> DiffNode:
@@ -211,92 +202,15 @@ def transpose(a: DiffNode) -> DiffNode:
     return DiffNode(np.ascontiguousarray(a.value.T), (a,), lambda g: (g.T,), op="transpose")
 
 
-def layer_norm(x: DiffNode, gain: DiffNode, bias: DiffNode) -> DiffNode:
-    """Row-wise layer normalization with a learned affine pair.
-
-    Population variance, epsilon 1e-5 inside the square root.  gain and
-    bias are vectors broadcast over rows; this is the only broadcasting
-    in the op set.
-    """
-    x, gain, bias = _as_node(x), _as_node(gain), _as_node(bias)
-    _need_2d(x, "layer_norm")
-    d = x.shape[1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError(
-            f"layer_norm affine must have shape ({d},), got {gain.shape} and {bias.shape}"
-        )
-    xv = x.value
-    mu = xv.mean(axis=1, keepdims=True)
-    xc = xv - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    y = xc * inv
-    value = y * gain.value + bias.value
-
-    def rule(g):
-        gy = g * gain.value
-        s1 = gy.sum(axis=1, keepdims=True)
-        s2 = (gy * y).sum(axis=1, keepdims=True)
-        dx = (inv / d) * (d * gy - s1 - y * s2)
-        return dx, (g * y).sum(axis=0), g.sum(axis=0)
-
-    return DiffNode(value, (x, gain, bias), rule, op="layer_norm")
+def gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, the erf factor of the exact GELU x * cdf(x)."""
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
 
-def _gelu_forward(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
-
-
-def _gelu_derivative(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return cdf + x * pdf
-
-
-def gelu(x: DiffNode) -> DiffNode:
-    """Exact Gaussian error linear unit, erf form."""
-    x = _as_node(x)
-    xv = x.value
-    return DiffNode(_gelu_forward(xv), (x,), lambda g: (g * _gelu_derivative(xv),), op="gelu")
-
-
-def geglu(x: DiffNode) -> DiffNode:
-    """Gated GELU over the last axis: first half of the columns carries the
-    value, second half the gate, output width is half the input width."""
-    x = _as_node(x)
-    _need_2d(x, "geglu")
-    w = x.shape[1]
-    if w % 2 != 0:
-        raise DimensionError(f"geglu needs an even column count, got {w}")
-    h = w // 2
-    xv = x.value
-    a, b = xv[:, :h], xv[:, h:]
-    gate = _gelu_forward(b)
-
-    def rule(g):
-        da = g * gate
-        db = g * a * _gelu_derivative(b)
-        return (np.concatenate([da, db], axis=1),)
-
-    return DiffNode(a * gate, (x,), rule, op="geglu")
-
-
-def l2_normalize(x: DiffNode) -> DiffNode:
-    """Scale each row to unit Euclidean norm; rows with norm below 1e-8
-    are divided by the epsilon instead."""
-    x = _as_node(x)
-    _need_2d(x, "l2_normalize")
-    xv = x.value
-    norms = np.sqrt((xv * xv).sum(axis=1, keepdims=True))
-    denom = np.maximum(norms, L2_NORM_EPS)
-    y = xv / denom
-
-    def rule(g):
-        full = (g - y * (y * g).sum(axis=1, keepdims=True)) / denom
-        clipped = g / L2_NORM_EPS
-        return (np.where(norms >= L2_NORM_EPS, full, clipped),)
-
-    return DiffNode(y, (x,), rule, op="l2_normalize")
+def gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Derivative of the exact GELU at x, given gelu_cdf(x) from the
+    forward pass, so a backward rule evaluates no second erf."""
+    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
 def cross_entropy(logits: DiffNode, labels) -> DiffNode:

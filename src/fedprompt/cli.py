@@ -37,7 +37,7 @@ from fedprompt.diagnostics import (
     composite_grad_check,
     run_selftest,
 )
-from fedprompt.errors import ContractError, FormatError
+from fedprompt.errors import ContractError, FormatError, NumericError
 from fedprompt.evaluation import evaluate_both_splits
 from fedprompt.federation import run_training
 from fedprompt.partition import build_client_dataset, partition_classes
@@ -146,11 +146,15 @@ def _cmd_train(args) -> int:
     init = init_translator_params(cfg.translator, cfg.master_seed)
     echo = canonical_text(cfg)
 
-    with open(a.log, "w", encoding="utf-8") as log_file:
+    # append mode opens a bad path before any work but keeps the previous
+    # run's lines until this run's first checkpoint is written
+    with open(a.log, "a", encoding="utf-8") as log_file:
 
         def on_round(params, log):
             # the marker counts completed rounds, so the final file reads rounds=T
             save_checkpoint(a.checkpoint, params, with_round_marker(echo, log.round + 1))
+            if log.round == 0:
+                log_file.truncate(0)
             log_file.write(log.to_json_line() + "\n")
             log_file.flush()
             loss = float(np.mean(list(log.client_loss.values())))
@@ -199,9 +203,12 @@ def _cmd_eval(args) -> int:
             f"{params.schema()} vs {expected}"
         )
     world = _world_for(cfg, a.world)
-    result = evaluate_both_splits(
-        params, world, cfg.translator, cfg.n_test, cfg.optimizer.temperature, cfg.master_seed
-    )
+    try:
+        result = evaluate_both_splits(
+            params, world, cfg.translator, cfg.n_test, cfg.optimizer.temperature, cfg.master_seed
+        )
+    except NumericError as err:
+        raise NumericError(f"{a.checkpoint}: {err}") from None
     baseline = evaluate_both_splits(
         None, world, cfg.translator, cfg.n_test, cfg.optimizer.temperature, cfg.master_seed
     )

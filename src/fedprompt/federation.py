@@ -111,11 +111,13 @@ def class_text_features(
     if min(ids, default=0) < 0:
         raise IndexError(f"class id {min(ids)} out of range")
     emb = world.class_embeddings[ids]
-    if params is None:
-        ctx = ag.constant(np.zeros((len(emb) * trans_cfg.n_ctx, trans_cfg.d_model)))
-    else:
-        ctx = translate_one(params, trans_cfg, ag.constant(emb))
-    feats = text_feature(world.head, emb, ctx)
+    # an overflow shows up as non-finite features, reported below
+    with np.errstate(all="ignore"):
+        if params is None:
+            ctx = ag.constant(np.zeros((len(emb) * trans_cfg.n_ctx, trans_cfg.d_model)))
+        else:
+            ctx = translate_one(params, trans_cfg, ag.constant(emb))
+        feats = text_feature(world.head, emb, ctx)
     if not np.isfinite(feats.value).all():
         raise NumericError("class text features have non-finite values")
     return feats
@@ -156,22 +158,25 @@ def local_update(
     params = global_params.copy()
     velocity = {name: np.zeros(p.shape) for name, p in params.items()}
     losses = []
-    for _ in range(epochs):
-        order = rng.permutation(len(dataset))
-        for start in range(0, len(order), opt_cfg.batch_size):
-            batch = order[start : start + opt_cfg.batch_size]
-            logits = class_logits(
-                params,
-                trans_cfg,
-                world,
-                dataset.class_ids,
-                dataset.images[batch],
-                opt_cfg.temperature,
-            )
-            loss = ag.cross_entropy(logits, dataset.labels[batch])
-            ag.backward(loss)
-            sgd_step(params, velocity, lr, opt_cfg)
-            losses.append(loss.value.item())
+    # overflow surfaces as a NumericError from the features, the loss or
+    # the updated parameters, so numpy's own warnings add nothing
+    with np.errstate(all="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(len(dataset))
+            for start in range(0, len(order), opt_cfg.batch_size):
+                batch = order[start : start + opt_cfg.batch_size]
+                logits = class_logits(
+                    params,
+                    trans_cfg,
+                    world,
+                    dataset.class_ids,
+                    dataset.images[batch],
+                    opt_cfg.temperature,
+                )
+                loss = ag.cross_entropy(logits, dataset.labels[batch])
+                ag.backward(loss)
+                sgd_step(params, velocity, lr, opt_cfg)
+                losses.append(loss.value.item())
     return ClientUpdate(client_id, params, len(dataset), float(np.mean(losses)))
 
 
@@ -258,7 +263,9 @@ def run_training(
     participant's batch shuffling uses the (seed, "local", t, client)
     stream.  A manual loop with the same derivations reproduces the run
     bitwise.  on_round, if given, is called with (aggregated params,
-    RoundLog) after each aggregation; it must not mutate the params.
+    RoundLog) after each aggregation; it must not mutate the params.  A
+    NumericError in a local update is raised again naming the round and
+    the client.
     """
     if total_rounds < 1:
         raise ConfigError(f"total_rounds must be positive, got {total_rounds}")
@@ -272,17 +279,20 @@ def run_training(
         selected = select_clients(n_clients, fraction, seed, t)
         updates = []
         for client_id in selected:
-            update = local_update(
-                params,
-                world,
-                datasets[client_id],
-                opt_cfg,
-                trans_cfg,
-                epochs_per_round,
-                lr,
-                rng_for(seed, "local", t, client_id),
-                client_id,
-            )
+            try:
+                update = local_update(
+                    params,
+                    world,
+                    datasets[client_id],
+                    opt_cfg,
+                    trans_cfg,
+                    epochs_per_round,
+                    lr,
+                    rng_for(seed, "local", t, client_id),
+                    client_id,
+                )
+            except NumericError as err:
+                raise NumericError(f"round {t}, client {client_id}: {err}") from None
             updates.append(update)
         params = fedavg(updates)
         log = RoundLog(t, lr, selected, {u.client_id: u.mean_loss for u in updates})

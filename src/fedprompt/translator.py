@@ -13,9 +13,14 @@ because with one key none of them can change the output or receive a
 gradient.  Attention over several keys, such as a task's whole set of
 class names, would be a different model.
 
-A whole class set runs as one graph: k embedding rows give k contexts
-stacked as [k * n_ctx, d_model] rows, class by class.  Every step after
-the tiling works row by row, so the classes never mix.
+A whole class set runs as one graph node: k embedding rows give k
+contexts stacked as [k * n_ctx, d_model] rows, class by class.  The node
+works on a [k, n_ctx, d_model] view, adding each class's update row to
+the queries by broadcasting; every later step works row by row, so the
+classes never mix.  Its backward rule is written out by hand (layer
+norm, GEGLU and both residual paths) and returns the gradients of the
+embedding and of all seven parameters; the tests hold it against the
+same block composed from small autograd ops.
 
 Parameter tensors have a fixed schema; see translator_schema().  The
 output projection and the second feed-forward matrix start at zero, which
@@ -33,6 +38,7 @@ from fedprompt.errors import ConfigError, DimensionError
 from fedprompt.seeding import rng_for
 
 QUERY_INIT_STD = 0.02
+LAYER_NORM_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -98,16 +104,59 @@ def init_translator_params(cfg: TranslatorConfig, seed: int) -> ParameterSet:
 
 def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: DiffNode) -> DiffNode:
     """Context vectors for k classes; emb is [k, d_model], the result is
-    [k * n_ctx, d_model] with class i in rows i * n_ctx to (i + 1) * n_ctx."""
+    [k * n_ctx, d_model] with class i in rows i * n_ctx to (i + 1) * n_ctx.
+
+    One graph node whose parents are emb and the seven parameters, in
+    schema order; its backward rule returns all eight gradients.
+    """
     if len(emb.shape) != 2 or emb.shape[0] < 1 or emb.shape[1] != cfg.d_model:
         raise DimensionError(f"emb must be (k, {cfg.d_model}) with k >= 1, got {emb.shape}")
-    k, n = emb.shape[0], cfg.n_ctx
-    # tile after W_v and before W_o; tiling the embedding before W_v
-    # rounds differently (about 1e-16) and shifts every trained result
-    value_rows = ag.matmul(emb, params["W_v"])
-    tiled = ag.matmul(ag.constant(np.kron(np.eye(k), np.ones((n, 1)))), value_rows)
-    queries = ag.matmul(ag.constant(np.kron(np.ones((k, 1)), np.eye(n))), params["queries"])
-    u = ag.add(queries, ag.matmul(tiled, params["W_o"]))
-    u_in = ag.layer_norm(u, params["ln2_gain"], params["ln2_bias"])
-    ffn = ag.matmul(ag.geglu(ag.matmul(u_in, params["ffn_in"])), params["ffn_out"])
-    return ag.add(u, ffn)
+    k, n, d, f = emb.shape[0], cfg.n_ctx, cfg.d_model, cfg.d_ffn
+    schema = translator_schema(cfg)
+    tensors = tuple(params[name] for name, _ in schema)
+    if any(p.shape != shape for p, (_, shape) in zip(tensors, schema)):
+        raise DimensionError(f"translator parameters {params.schema()} do not match {cfg}")
+    q, w_v, w_o, gain, bias, ffn_in, ffn_out = (p.value for p in tensors)
+    e = emb.value
+
+    # the update row of each class, broadcast over that class's n_ctx queries
+    vrow = e @ w_v
+    u = (q + (vrow @ w_o)[:, None, :]).reshape(k * n, d)
+    # pre-norm: population variance, epsilon inside the square root
+    uc = u - u.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((uc * uc).mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
+    y = uc * inv
+    u_in = y * gain + bias
+    # GEGLU: the first f columns carry the value, the last f the gate
+    h = u_in @ ffn_in
+    a, b = h[:, :f], h[:, f:]
+    cdf = ag.gelu_cdf(b)
+    gate = b * cdf
+    m = a * gate
+    out = u + m @ ffn_out
+
+    def rule(g):
+        g_m = g @ ffn_out.T
+        g_h = np.empty_like(h)
+        g_h[:, :f] = g_m * gate
+        g_h[:, f:] = g_m * a * ag.gelu_slope(b, cdf)
+        g_in = g_h @ ffn_in.T
+        gy = g_in * gain
+        s1 = gy.sum(axis=1, keepdims=True)
+        s2 = (gy * y).sum(axis=1, keepdims=True)
+        # the residual stream takes g directly and through the norm
+        g_u = (g + (inv / d) * (d * gy - s1 - y * s2)).reshape(k, n, d)
+        g_row = g_u.sum(axis=1)
+        g_vrow = g_row @ w_o.T
+        return (
+            g_vrow @ w_v.T,
+            g_u.sum(axis=0),
+            e.T @ g_vrow,
+            vrow.T @ g_row,
+            (g_in * y).sum(axis=0),
+            g_in.sum(axis=0),
+            u_in.T @ g_h,
+            m.T @ g,
+        )
+
+    return DiffNode(out, (emb, *tensors), rule, op="translate")

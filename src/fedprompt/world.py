@@ -11,7 +11,9 @@ additive correction on the class-name embedding.  With zero context the
 head contributes nothing, so the text feature degenerates to the raw
 class embedding; that identity anchors several tests.  The head takes a
 whole class set at once: k embedding rows and their contexts stacked as
-[k * n_ctx, d] rows give k features in one graph.
+[k * n_ctx, d] rows give k features from one graph node, which pools
+each class's rows as a [k, n_ctx, d] mean and carries a hand-written
+backward rule for the context gradient.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ from fedprompt.errors import ConfigError, DimensionError
 from fedprompt.seeding import rng_for
 
 UNIT_NORM_ATOL = 1e-9
+L2_NORM_EPS = 1e-8
 LOAD_NORM_ATOL = 1e-6
 
 
@@ -152,8 +155,10 @@ def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> 
     class_emb holds k class-name embedding rows; ctx stacks each class's
     n_ctx context vectors, class by class, as [k * n_ctx, d].  Averages
     each class's context rows, pushes the result through the frozen
-    head, adds it to the class-name embedding, and renormalizes each
-    row.  Returns a graph node so gradients flow back into the context.
+    head, adds it to the class-name embedding, and renormalizes each row
+    (rows with norm below 1e-8 are divided by that epsilon instead).
+    Returns one graph node whose backward rule gives the gradient of
+    ctx, its only parent.
     """
     k, d = class_emb.shape
     if ctx.shape[-1] != d:
@@ -161,9 +166,23 @@ def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> 
     if k < 1 or ctx.shape[0] < k or ctx.shape[0] % k:
         raise DimensionError(f"{ctx.shape[0]} context rows do not split into {k} classes")
     n_ctx = ctx.shape[0] // k
-    pooled = ag.matmul(ag.constant(np.kron(np.eye(k), np.full((1, n_ctx), 1.0 / n_ctx))), ctx)
-    corr = ag.matmul(ag.gelu(ag.matmul(pooled, ag.constant(head.W1))), ag.constant(head.W2))
-    return ag.l2_normalize(ag.add(ag.constant(class_emb), corr))
+    z = ctx.value.reshape(k, n_ctx, d).mean(axis=1) @ head.W1
+    cdf = ag.gelu_cdf(z)
+    x = class_emb + (z * cdf) @ head.W2
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    denom = np.maximum(norms, L2_NORM_EPS)
+    y = x / denom
+
+    def rule(g):
+        g_x = np.where(
+            norms >= L2_NORM_EPS,
+            (g - y * (y * g).sum(axis=1, keepdims=True)) / denom,
+            g / L2_NORM_EPS,
+        )
+        g_pooled = ((g_x @ head.W2.T) * ag.gelu_slope(z, cdf)) @ head.W1.T
+        return (np.repeat(g_pooled / n_ctx, n_ctx, axis=0),)
+
+    return DiffNode(y, (ctx,), rule, op="text_feature")
 
 
 def load_embeddings(arrays: dict[str, np.ndarray], cfg: WorldConfig) -> SyntheticWorld:

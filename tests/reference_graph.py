@@ -1,0 +1,149 @@
+"""Reference composition of the class-feature map from small autograd ops.
+
+The package runs the translator block and the frozen text head as one
+graph node each, with hand-written backward rules.  This module keeps the
+same map as a chain of small ops, each with its own textbook rule, so the
+tests can hold the fused nodes against it: add, layer_norm, gelu, geglu
+and l2_normalize, plus translate_one, text_feature and
+class_text_features built from them with the constant 0/1 tiling and
+pooling matmuls, and probe_sum to reduce a matrix node to a scalar.
+Nothing here is used outside tests/.
+"""
+
+import numpy as np
+from scipy.special import erf
+
+from fedprompt import autograd as ag
+from fedprompt.autograd import DiffNode
+from fedprompt.errors import DimensionError
+from fedprompt.translator import LAYER_NORM_EPS
+from fedprompt.world import L2_NORM_EPS
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def _node(x) -> DiffNode:
+    return x if isinstance(x, DiffNode) else ag.constant(x)
+
+
+def _need_2d(x: DiffNode, op: str) -> None:
+    if x.value.ndim != 2:
+        raise DimensionError(f"{op} needs a 2-D operand, got shape {x.shape}")
+
+
+def add(a, b) -> DiffNode:
+    a, b = _node(a), _node(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"add needs equal shapes, got {a.shape} and {b.shape}")
+    return DiffNode(a.value + b.value, (a, b), lambda g: (g, g), op="add")
+
+
+def layer_norm(x, gain, bias) -> DiffNode:
+    """Row-wise layer normalization with a learned affine pair broadcast
+    over rows; population variance, epsilon inside the square root."""
+    x, gain, bias = _node(x), _node(gain), _node(bias)
+    _need_2d(x, "layer_norm")
+    d = x.shape[1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise DimensionError(
+            f"layer_norm affine must have shape ({d},), got {gain.shape} and {bias.shape}"
+        )
+    xv = x.value
+    xc = xv - xv.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
+    y = xc * inv
+
+    def rule(g):
+        gy = g * gain.value
+        s1 = gy.sum(axis=1, keepdims=True)
+        s2 = (gy * y).sum(axis=1, keepdims=True)
+        dx = (inv / d) * (d * gy - s1 - y * s2)
+        return dx, (g * y).sum(axis=0), g.sum(axis=0)
+
+    return DiffNode(y * gain.value + bias.value, (x, gain, bias), rule, op="layer_norm")
+
+
+def _gelu_forward(x):
+    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+
+
+def _gelu_derivative(x):
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+
+
+def gelu(x) -> DiffNode:
+    """Exact Gaussian error linear unit, erf form."""
+    x = _node(x)
+    xv = x.value
+    return DiffNode(_gelu_forward(xv), (x,), lambda g: (g * _gelu_derivative(xv),), op="gelu")
+
+
+def geglu(x) -> DiffNode:
+    """Gated GELU over the last axis: the first half of the columns carries
+    the value, the second half the gate."""
+    x = _node(x)
+    _need_2d(x, "geglu")
+    w = x.shape[1]
+    if w % 2 != 0:
+        raise DimensionError(f"geglu needs an even column count, got {w}")
+    a, b = x.value[:, : w // 2], x.value[:, w // 2 :]
+    gate = _gelu_forward(b)
+
+    def rule(g):
+        return (np.concatenate([g * gate, g * a * _gelu_derivative(b)], axis=1),)
+
+    return DiffNode(a * gate, (x,), rule, op="geglu")
+
+
+def l2_normalize(x) -> DiffNode:
+    """Scale each row to unit norm; rows with norm below the epsilon are
+    divided by the epsilon instead."""
+    x = _node(x)
+    _need_2d(x, "l2_normalize")
+    xv = x.value
+    norms = np.sqrt((xv * xv).sum(axis=1, keepdims=True))
+    denom = np.maximum(norms, L2_NORM_EPS)
+    y = xv / denom
+
+    def rule(g):
+        full = (g - y * (y * g).sum(axis=1, keepdims=True)) / denom
+        return (np.where(norms >= L2_NORM_EPS, full, g / L2_NORM_EPS),)
+
+    return DiffNode(y, (x,), rule, op="l2_normalize")
+
+
+def translate_one(params, cfg, emb: DiffNode) -> DiffNode:
+    """The translator block as small ops: [k, d] embeddings to [k * n_ctx, d]."""
+    k, n = emb.shape[0], cfg.n_ctx
+    value_rows = ag.matmul(emb, params["W_v"])
+    tiled = ag.matmul(ag.constant(np.kron(np.eye(k), np.ones((n, 1)))), value_rows)
+    queries = ag.matmul(ag.constant(np.kron(np.ones((k, 1)), np.eye(n))), params["queries"])
+    u = add(queries, ag.matmul(tiled, params["W_o"]))
+    u_in = layer_norm(u, params["ln2_gain"], params["ln2_bias"])
+    return add(u, ag.matmul(geglu(ag.matmul(u_in, params["ffn_in"])), params["ffn_out"]))
+
+
+def text_feature(head, class_emb: np.ndarray, ctx: DiffNode) -> DiffNode:
+    """The frozen text head as small ops: pooled context to unit features."""
+    k = class_emb.shape[0]
+    n_ctx = ctx.shape[0] // k
+    pooled = ag.matmul(ag.constant(np.kron(np.eye(k), np.full((1, n_ctx), 1.0 / n_ctx))), ctx)
+    corr = ag.matmul(gelu(ag.matmul(pooled, ag.constant(head.W1))), ag.constant(head.W2))
+    return l2_normalize(add(ag.constant(class_emb), corr))
+
+
+def class_text_features(params, cfg, world, class_ids) -> DiffNode:
+    """federation.class_text_features over the reference composition."""
+    emb = world.class_embeddings[list(class_ids)]
+    if params is None:
+        ctx = ag.constant(np.zeros((len(emb) * cfg.n_ctx, cfg.d_model)))
+    else:
+        ctx = translate_one(params, cfg, ag.constant(emb))
+    return text_feature(world.head, emb, ctx)
+
+
+def probe_sum(x: DiffNode, probe: np.ndarray) -> DiffNode:
+    """Scalar sum(x * probe), so every entry of x gets its own weight."""
+    return DiffNode(np.array((x.value * probe).sum()), (x,), lambda g: (g * probe,), op="probe")

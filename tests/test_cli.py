@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,13 @@ def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY)
     return str(path)
+
+
+def _fedprompt(cwd, *args):
+    """`python -m fedprompt` in a subprocess, so stderr shows what a user sees."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "fedprompt", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
 
 
 def _train(tmp_path, tiny_cfg, *extra):
@@ -147,6 +155,9 @@ class TestTrain:
     def test_failed_checkpoint_write_keeps_previous_bytes(self, tmp_path, tiny_cfg, monkeypatch):
         ckpt, log = _train(tmp_path, tiny_cfg)
         before = Path(ckpt).read_bytes()
+        # the log must keep agreeing with the checkpoint that survives
+        before_log = Path(log).read_bytes()
+        assert len(before_log.splitlines()) == 2
 
         def failing_replace(src, dst):
             raise OSError("disk full")
@@ -156,7 +167,23 @@ class TestTrain:
                      "--checkpoint", ckpt, "--log", log])
         assert code == 2
         assert Path(ckpt).read_bytes() == before
+        assert Path(log).read_bytes() == before_log
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_rerun_replaces_previous_log(self, tmp_path, tiny_cfg):
+        ckpt, log = _train(tmp_path, tiny_cfg)
+        first = Path(log).read_bytes()
+        Path(log).write_text("stale line\n" * 5)
+        _train(tmp_path, tiny_cfg)
+        assert Path(log).read_bytes() == first
+
+    def test_overflowing_training_names_round_and_client(self, tmp_path):
+        # the default model overflows in its first round at this rate
+        done = _fedprompt(tmp_path, "train", "--set", "optimizer.lr0=1e150",
+                          "--set", "federation.rounds=3")
+        assert done.returncode == 1
+        assert "RuntimeWarning" not in done.stderr
+        assert re.search(r"error: round \d+, client \d+: ", done.stderr), done.stderr
 
     def test_echo_reproduces_config(self, tmp_path, tiny_cfg):
         from fedprompt.config import build_config, parse_config_text
@@ -229,19 +256,20 @@ class TestEval:
         assert not out.exists()
 
 
-    def test_overflowing_checkpoint_refused(self, tmp_path, capsys):
-        # finite weights whose products overflow in the forward pass
+    def test_overflowing_checkpoint_refused(self, tmp_path):
+        # finite weights whose products overflow in the forward pass; the
+        # error names the checkpoint, and numpy prints no warning first
         cfg = load_config(None, ["world.d=16"])
         params = init_translator_params(cfg.translator, 0)
         for name in ("W_v", "W_o"):
             params[name].set_value(np.full(params[name].shape, 1e300))
         ckpt = str(tmp_path / "huge.ftpg")
         save_checkpoint(ckpt, params, with_round_marker(canonical_text(cfg), 50))
-        out = tmp_path / "eval.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["eval", "--checkpoint", ckpt, "--out", str(out)]) == 1
-        assert "error" in capsys.readouterr().err
-        assert not out.exists()
+        done = _fedprompt(tmp_path, "eval", "--checkpoint", ckpt, "--out", "eval.json")
+        assert done.returncode == 1
+        assert "RuntimeWarning" not in done.stderr
+        assert f"error: {ckpt}: " in done.stderr
+        assert not (tmp_path / "eval.json").exists()
 
 
 class TestReport:

@@ -1,12 +1,19 @@
 """Tests for the optimizer, aggregation, and the federated loop."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedprompt.autograd import Parameter, ParameterSet, backward
 from fedprompt import autograd as ag
+from fedprompt.diagnostics import (
+    GRADCHECK_HEAD_SCALE,
+    GRADCHECK_RAND_STD,
+    GRADCHECK_SEED,
+    randomized_translator_params,
+)
 from fedprompt.errors import ConfigError, ContractError, NumericError, SchemaError
 from fedprompt.federation import (
     ClientUpdate,
@@ -24,7 +31,8 @@ from fedprompt.federation import (
 from fedprompt.partition import build_client_dataset, partition_classes
 from fedprompt.seeding import rng_for
 from fedprompt.translator import TranslatorConfig, init_translator_params, translate_one
-from fedprompt.world import WorldConfig, build_world, text_feature
+from fedprompt.world import FrozenTextHead, WorldConfig, build_world, text_feature
+import reference_graph as ref
 
 TRANS = TranslatorConfig(d_model=16, n_ctx=2, ffn_mult=2)
 OPT = OptimizerConfig(lr0=0.05, temperature=0.5, batch_size=4)
@@ -214,7 +222,7 @@ class TestClassTextFeatures:
             # sum_i <feature_i, probe_i> as a scalar node
             out = ag.matmul(rows[0], ag.constant(probe[:1].T))
             for i, row in enumerate(rows[1:], start=1):
-                out = ag.add(out, ag.matmul(row, ag.constant(probe[i : i + 1].T)))
+                out = ref.add(out, ag.matmul(row, ag.constant(probe[i : i + 1].T)))
             return out
 
         feats = class_text_features(params, TRANS, world, self.IDS)
@@ -233,7 +241,9 @@ class TestClassTextFeatures:
         for k in (1, 3, 12):
             logits = class_logits(params, TRANS, world, range(k), images, 0.5)
             sizes.add(graph_size(ag.cross_entropy(logits, [0] * 4)))
-        assert len(sizes) == 1 and sizes.pop() <= 40
+        # 7 parameters, the embedding and image constants, the translator
+        # and text-head nodes, transpose, matmul, scale and cross_entropy
+        assert len(sizes) == 1 and sizes.pop() <= 15
 
     def test_negative_class_id_rejected(self, world):
         with pytest.raises(IndexError):
@@ -246,6 +256,54 @@ class TestClassTextFeatures:
             params[name].set_value(np.full(params[name].shape, 1e300))
         with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
             class_text_features(params, TRANS, world, [0, 1])
+
+
+def fused_and_reference_case(shape, k):
+    """World, translator config and randomized params at one of two shapes:
+    the default model, or the gradcheck probe's (width 16, ffn_mult 1, unit
+    std weights, doubled head)."""
+    if shape == "default":
+        tcfg = TranslatorConfig()
+        world = build_world(WorldConfig(seed=4))
+        return world, tcfg, randomized_translator_params(tcfg, 4)
+    tcfg = TranslatorConfig(d_model=16, n_ctx=4, ffn_mult=1)
+    # at k = 3 this is the gradcheck world itself: two base classes, one new
+    world = build_world(WorldConfig(d=16, n_base=max(k - 1, 2), n_new=1, sigma_img=0.1,
+                                    sigma_text=0.05, seed=GRADCHECK_SEED))
+    head = FrozenTextHead(GRADCHECK_HEAD_SCALE * world.head.W1, GRADCHECK_HEAD_SCALE * world.head.W2)
+    params = randomized_translator_params(tcfg, GRADCHECK_SEED, std=GRADCHECK_RAND_STD)
+    return replace(world, head=head), tcfg, params
+
+
+@pytest.mark.parametrize("k", [1, 3, 12])
+@pytest.mark.parametrize("shape", ["default", "gradcheck"])
+class TestFusedAgainstReference:
+    """The one-node translator and text head against the small-op composition."""
+
+    def test_features_match(self, shape, k):
+        world, tcfg, params = fused_and_reference_case(shape, k)
+        ids = list(range(k))
+        fused = class_text_features(params, tcfg, world, ids).value
+        reference = ref.class_text_features(params, tcfg, world, ids).value
+        assert fused.shape == (k, tcfg.d_model)
+        assert np.max(np.abs(fused - reference)) < 1e-12
+
+    def test_every_gradient_matches(self, shape, k):
+        world, tcfg, params = fused_and_reference_case(shape, k)
+        ids = list(range(k))
+        probe = np.random.default_rng(k).standard_normal((k, tcfg.d_model))
+        backward(ref.probe_sum(class_text_features(params, tcfg, world, ids), probe))
+        fused = {name: p.grad.copy() for name, p in params.items()}
+        backward(ref.probe_sum(ref.class_text_features(params, tcfg, world, ids), probe))
+        for name, p in params.items():
+            scale = np.abs(p.grad).max()
+            assert scale > 0, name
+            assert np.max(np.abs(fused[name] - p.grad)) / scale < 1e-12, name
+
+    def test_zero_context_gives_raw_embedding(self, shape, k):
+        world, tcfg, _ = fused_and_reference_case(shape, k)
+        feats = class_text_features(None, tcfg, world, range(k)).value
+        assert np.max(np.abs(feats - world.class_embeddings[:k])) < 1e-12
 
 
 class TestLocalUpdate:

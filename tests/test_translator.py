@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedprompt import autograd as ag
-from fedprompt.autograd import ParameterSet, grad_check
+from fedprompt.autograd import Parameter, grad_check
 from fedprompt.errors import ConfigError, DimensionError
 from fedprompt.seeding import rng_for
 from fedprompt.translator import (
@@ -13,6 +13,7 @@ from fedprompt.translator import (
     translate_one,
     translator_schema,
 )
+import reference_graph as ref
 
 CFG16 = TranslatorConfig(d_model=16, n_ctx=4, ffn_mult=2)
 
@@ -119,6 +120,13 @@ class TestForward:
             with pytest.raises(DimensionError):
                 translate_one(params, CFG16, ag.constant(np.ones(shape)))
 
+    def test_params_of_another_shape_rejected(self):
+        emb = ag.constant(np.ones((2, 16)))
+        for cfg in (TranslatorConfig(d_model=16, n_ctx=2, ffn_mult=2),
+                    TranslatorConfig(d_model=16, n_ctx=4, ffn_mult=1)):
+            with pytest.raises(DimensionError):
+                translate_one(init_translator_params(cfg, 3), CFG16, emb)
+
     def test_batch_output_shape(self):
         params = init_translator_params(CFG16, 9)
         emb = np.random.default_rng(4).standard_normal((5, 16))
@@ -155,3 +163,19 @@ class TestGradients:
             return ag.matmul(ag.matmul(u, out), v)
 
         assert grad_check(loss, params) < 1e-6
+
+    def test_every_gradient_matches_reference_at_three_classes(self):
+        # the block is one node whose rule returns eight gradients: the
+        # embedding's and the seven parameters'
+        params = randomized_params(CFG16, 52)
+        rng = np.random.default_rng(9)
+        emb = Parameter("emb", rng.standard_normal((3, 16)))
+        probe = rng.standard_normal((12, 16))
+        out = translate_one(params, CFG16, emb)
+        assert out.op == "translate" and len(out.parents) == 8
+        ag.backward(ref.probe_sum(out, probe))
+        fused = {name: p.grad.copy() for name, p in [("emb", emb), *params.items()]}
+        ag.backward(ref.probe_sum(ref.translate_one(params, CFG16, emb), probe))
+        for name, p in [("emb", emb), *params.items()]:
+            scale = np.abs(p.grad).max()
+            assert np.max(np.abs(fused[name] - p.grad)) / scale < 1e-12, name
