@@ -21,6 +21,7 @@ from fedprompt.config import (
     apply_overrides,
     build_config,
     canonical_text,
+    check_world_echo,
     extract_round,
     load_config,
     parse_config_text,
@@ -105,10 +106,12 @@ def _add_config_options(p: _Parser):
 
 
 def _world_for(cfg, world_path):
-    """The experiment's world: loaded from a stored file, or rebuilt."""
+    """The experiment's world: loaded from a stored file made under the
+    same world keys, or rebuilt."""
     if world_path is None:
         return build_world(cfg.world)
-    arrays, _ = load_embeddings_file(world_path)
+    arrays, echo = load_embeddings_file(world_path)
+    check_world_echo(echo, cfg, world_path)
     return load_embeddings(arrays, cfg.world)
 
 

@@ -1,11 +1,12 @@
 """Experiment configuration: flat key=value files with dotted sections.
 
-One registry maps every configuration key to its type, default, and a
-one-line description; the parser and the documentation are the same
-table, so they cannot drift apart.  Defaults come straight from the
-dataclass definitions.  A config file lists any subset of keys, later
-lines override earlier ones, unknown keys are hard errors naming the
-key and line, and --set overrides apply after the file.
+A key is the path of the dataclass field it sets, and one table gives
+each key's one-line description; its type and default are read from
+that field, so the parser, the serializer and the documentation cannot
+drift apart.  A config file lists any subset of keys, later lines
+override earlier ones, unknown keys are hard errors naming the key and
+line, and --set overrides apply after the file.  String values may not
+contain line breaks.
 
 canonical_text() serializes a config as sorted key=value lines; that
 text is what checkpoints embed, and parsing it back reproduces the
@@ -57,13 +58,6 @@ class ExperimentConfig:
             raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
 
 
-def _default(cls, field_name: str):
-    for f in dataclasses.fields(cls):
-        if f.name == field_name:
-            return f.default
-    raise AttributeError(field_name)
-
-
 @dataclass(frozen=True)
 class Key:
     type: type
@@ -71,54 +65,66 @@ class Key:
     doc: str
 
 
-# the single source of truth for configuration keys
-KEYS: dict[str, Key] = {
-    "master_seed": Key(int, _default(ExperimentConfig, "master_seed"),
-                       "root seed every stream derives from"),
-    "world.d": Key(int, _default(WorldConfig, "d"), "embedding dimension"),
-    "world.n_base": Key(int, _default(WorldConfig, "n_base"),
-                        "number of base (training) classes"),
-    "world.n_new": Key(int, _default(WorldConfig, "n_new"),
-                       "number of held-out novel classes"),
-    "world.sigma_img": Key(float, _default(WorldConfig, "sigma_img"),
-                           "image noise scale around class centers"),
-    "world.sigma_text": Key(float, _default(WorldConfig, "sigma_text"),
-                            "class-name embedding noise scale"),
-    "world.interp_lo": Key(float, _default(WorldConfig, "interp_lo"),
-                           "lower mixing weight for novel class centers"),
-    "world.interp_hi": Key(float, _default(WorldConfig, "interp_hi"),
-                           "upper mixing weight for novel class centers"),
-    "translator.n_ctx": Key(int, _default(TranslatorConfig, "n_ctx"),
-                            "number of generated context vectors"),
-    "translator.ffn_mult": Key(int, _default(TranslatorConfig, "ffn_mult"),
-                               "feed-forward expansion factor"),
-    "optimizer.lr0": Key(float, _default(OptimizerConfig, "lr0"),
-                         "base learning rate before cosine annealing"),
-    "optimizer.momentum": Key(float, _default(OptimizerConfig, "momentum"),
-                              "SGD momentum coefficient"),
-    "optimizer.weight_decay": Key(float, _default(OptimizerConfig, "weight_decay"),
-                                  "L2 penalty added to the gradient"),
-    "optimizer.batch_size": Key(int, _default(OptimizerConfig, "batch_size"),
-                                "local minibatch size"),
-    "optimizer.temperature": Key(float, _default(OptimizerConfig, "temperature"),
-                                 "cosine logit divisor"),
-    "federation.n_clients": Key(int, _default(ExperimentConfig, "n_clients"),
-                                "number of simulated clients"),
-    "federation.classes_per_client": Key(int, _default(ExperimentConfig, "classes_per_client"),
-                                         "disjoint classes held by each client"),
-    "federation.shots": Key(int, _default(ExperimentConfig, "shots"),
-                            "training samples per class per client"),
-    "federation.rounds": Key(int, _default(ExperimentConfig, "rounds"),
-                             "communication rounds"),
-    "federation.local_epochs": Key(int, _default(ExperimentConfig, "local_epochs"),
-                                   "local passes per round"),
-    "federation.fraction": Key(float, _default(ExperimentConfig, "fraction"),
-                               "participating fraction of clients per round"),
-    "eval.n_test": Key(int, _default(ExperimentConfig, "n_test"),
-                       "test samples per class"),
-    "eval.report_dir": Key(str, _default(ExperimentConfig, "report_dir"),
-                           "output directory for report files"),
+_SECTIONS = {"world": WorldConfig, "translator": TranslatorConfig, "optimizer": OptimizerConfig}
+
+# section fields set from another key instead of being keys themselves
+_COUPLINGS = {("world", "seed"): "master_seed", ("translator", "d_model"): "world.d"}
+
+# every configuration key and its description; _field_path gives the
+# field a key sets
+_DOCS = {
+    "master_seed": "root seed every stream derives from",
+    "world.d": "embedding dimension",
+    "world.n_base": "number of base (training) classes",
+    "world.n_new": "number of held-out novel classes",
+    "world.sigma_img": "image noise scale around class centers",
+    "world.sigma_text": "class-name embedding noise scale",
+    "world.interp_lo": "lower mixing weight for novel class centers",
+    "world.interp_hi": "upper mixing weight for novel class centers",
+    "translator.n_ctx": "number of generated context vectors",
+    "translator.ffn_mult": "feed-forward expansion factor",
+    "optimizer.lr0": "base learning rate before cosine annealing",
+    "optimizer.momentum": "SGD momentum coefficient",
+    "optimizer.weight_decay": "L2 penalty added to the gradient",
+    "optimizer.batch_size": "local minibatch size",
+    "optimizer.temperature": "cosine logit divisor",
+    "federation.n_clients": "number of simulated clients",
+    "federation.classes_per_client": "disjoint classes held by each client",
+    "federation.shots": "training samples per class per client",
+    "federation.rounds": "communication rounds",
+    "federation.local_epochs": "local passes per round",
+    "federation.fraction": "participating fraction of clients per round",
+    "eval.n_test": "test samples per class",
+    "eval.report_dir": "output directory for report files",
 }
+
+
+def _field_path(key: str) -> tuple[str | None, str]:
+    """(section, field name) a key sets.
+
+    world.*, translator.* and optimizer.* are fields of that section;
+    any other key is the ExperimentConfig field named by its last part,
+    returned with section None.
+    """
+    section, _, name = key.rpartition(".")
+    return (section if section in _SECTIONS else None), name
+
+
+def _key(key: str, doc: str) -> Key:
+    section, name = _field_path(key)
+    owner = _SECTIONS[section] if section else ExperimentConfig
+    f = next(f for f in dataclasses.fields(owner) if f.name == name)
+    return Key(f.type, f.default, doc)
+
+
+# the single source of truth for configuration keys
+KEYS: dict[str, Key] = {key: _key(key, doc) for key, doc in _DOCS.items()}
+
+# the keys a stored world depends on
+WORLD_KEYS = tuple(sorted(
+    [key for key in KEYS if _field_path(key)[0] == "world"]
+    + [key for (section, _), key in _COUPLINGS.items() if section == "world"]
+))
 
 
 def default_values() -> dict[str, object]:
@@ -135,6 +141,9 @@ def _parse_value(key: str, raw: str, where: str):
         ) from None
     if spec.type is float and not math.isfinite(value):
         raise ConfigError(f"non-finite value for {key!r} ({where}): {raw!r}")
+    # the echo holds one key per line, split as parse_config_text splits it
+    if spec.type is str and len(value.splitlines()) > 1:
+        raise ConfigError(f"line break in value for {key!r} ({where}): {raw!r}")
     return value
 
 
@@ -171,43 +180,14 @@ def apply_overrides(values: dict[str, object], overrides: Iterable[str]) -> dict
 
 def build_config(values: dict[str, object]) -> ExperimentConfig:
     """Assemble and validate the full config from a values dict."""
-    v = values
-    world = WorldConfig(
-        d=v["world.d"],
-        n_base=v["world.n_base"],
-        n_new=v["world.n_new"],
-        sigma_img=v["world.sigma_img"],
-        sigma_text=v["world.sigma_text"],
-        interp_lo=v["world.interp_lo"],
-        interp_hi=v["world.interp_hi"],
-        seed=v["master_seed"],
-    )
-    translator = TranslatorConfig(
-        d_model=v["world.d"],
-        n_ctx=v["translator.n_ctx"],
-        ffn_mult=v["translator.ffn_mult"],
-    )
-    optimizer = OptimizerConfig(
-        lr0=v["optimizer.lr0"],
-        momentum=v["optimizer.momentum"],
-        weight_decay=v["optimizer.weight_decay"],
-        batch_size=v["optimizer.batch_size"],
-        temperature=v["optimizer.temperature"],
-    )
-    return ExperimentConfig(
-        world=world,
-        translator=translator,
-        optimizer=optimizer,
-        n_clients=v["federation.n_clients"],
-        classes_per_client=v["federation.classes_per_client"],
-        shots=v["federation.shots"],
-        rounds=v["federation.rounds"],
-        local_epochs=v["federation.local_epochs"],
-        fraction=v["federation.fraction"],
-        n_test=v["eval.n_test"],
-        report_dir=v["eval.report_dir"],
-        master_seed=v["master_seed"],
-    )
+    kwargs = {section: {} for section in (None, *_SECTIONS)}
+    for key in KEYS:
+        section, name = _field_path(key)
+        kwargs[section][name] = values[key]
+    for (section, name), key in _COUPLINGS.items():
+        kwargs[section][name] = values[key]
+    sections = {section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()}
+    return ExperimentConfig(**sections, **kwargs[None])
 
 
 def load_config(path=None, overrides: Iterable[str] = ()) -> ExperimentConfig:
@@ -221,31 +201,11 @@ def load_config(path=None, overrides: Iterable[str] = ()) -> ExperimentConfig:
 
 def config_values(cfg: ExperimentConfig) -> dict[str, object]:
     """Inverse of build_config: the values dict a config corresponds to."""
-    return {
-        "master_seed": cfg.master_seed,
-        "world.d": cfg.world.d,
-        "world.n_base": cfg.world.n_base,
-        "world.n_new": cfg.world.n_new,
-        "world.sigma_img": cfg.world.sigma_img,
-        "world.sigma_text": cfg.world.sigma_text,
-        "world.interp_lo": cfg.world.interp_lo,
-        "world.interp_hi": cfg.world.interp_hi,
-        "translator.n_ctx": cfg.translator.n_ctx,
-        "translator.ffn_mult": cfg.translator.ffn_mult,
-        "optimizer.lr0": cfg.optimizer.lr0,
-        "optimizer.momentum": cfg.optimizer.momentum,
-        "optimizer.weight_decay": cfg.optimizer.weight_decay,
-        "optimizer.batch_size": cfg.optimizer.batch_size,
-        "optimizer.temperature": cfg.optimizer.temperature,
-        "federation.n_clients": cfg.n_clients,
-        "federation.classes_per_client": cfg.classes_per_client,
-        "federation.shots": cfg.shots,
-        "federation.rounds": cfg.rounds,
-        "federation.local_epochs": cfg.local_epochs,
-        "federation.fraction": cfg.fraction,
-        "eval.n_test": cfg.n_test,
-        "eval.report_dir": cfg.report_dir,
-    }
+    values = {}
+    for key in KEYS:
+        section, name = _field_path(key)
+        values[key] = getattr(getattr(cfg, section) if section else cfg, name)
+    return values
 
 
 def _format_value(value) -> str:
@@ -258,6 +218,21 @@ def canonical_text(cfg: ExperimentConfig) -> str:
     """Sorted key=value serialization; parsing it back is the identity."""
     values = config_values(cfg)
     return "".join(f"{key}={_format_value(values[key])}\n" for key in sorted(values))
+
+
+def check_world_echo(echo: str, cfg: ExperimentConfig, source: str) -> None:
+    """Refuse a stored world whose echo disagrees with cfg on a world key.
+
+    Only the world keys' lines are compared; other lines are ignored, so
+    world files written before some other key was removed still load.
+    """
+    stored = dict(line.split("=", 1) for line in echo.splitlines() if "=" in line)
+    values = config_values(cfg)
+    for key in WORLD_KEYS:
+        want = _format_value(values[key])
+        if stored.get(key) != want:
+            got = f"{key}={stored[key]}" if key in stored else f"no {key} line"
+            raise ConfigError(f"{source}: world was made with {got}, but this run has {key}={want}")
 
 
 ROUND_PREFIX = "# round="

@@ -162,7 +162,7 @@ def _check_live_gradients() -> CheckResult:
 def _check_fedavg_identity() -> CheckResult:
     tcfg = TranslatorConfig(d_model=16, n_ctx=4, ffn_mult=2)
     params = randomized_translator_params(tcfg, seed=3)
-    updates = [ClientUpdate(i, params.copy(), 8, 0.0) for i in range(3)]
+    updates = [ClientUpdate(i, params.copy(), 0.0) for i in range(3)]
     merged = fedavg(updates)
     same = np.array_equal(merged.flatten(), params.flatten())
     return CheckResult("fedavg-identity", same, "3 identical updates, bitwise")

@@ -88,7 +88,6 @@ def sgd_step(
 class ClientUpdate:
     client_id: int
     params: ParameterSet
-    n_samples: int
     mean_loss: float
 
 
@@ -177,7 +176,7 @@ def local_update(
                 ag.backward(loss)
                 sgd_step(params, velocity, lr, opt_cfg)
                 losses.append(loss.value.item())
-    return ClientUpdate(client_id, params, len(dataset), float(np.mean(losses)))
+    return ClientUpdate(client_id, params, float(np.mean(losses)))
 
 
 def select_clients(n_clients: int, fraction: float, seed: int, t: int) -> list[int]:

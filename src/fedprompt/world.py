@@ -25,7 +25,6 @@ from fedprompt.autograd import DiffNode
 from fedprompt.errors import ConfigError, DimensionError
 from fedprompt.seeding import rng_for
 
-UNIT_NORM_ATOL = 1e-9
 L2_NORM_EPS = 1e-8
 LOAD_NORM_ATOL = 1e-6
 
@@ -106,9 +105,10 @@ def build_world(cfg: WorldConfig) -> SyntheticWorld:
 
     Draw order is fixed and part of the format: base centers, then per
     novel class a parent pair and mixing weight, then every class-name
-    embedding in class id order, then the two head matrices.  Zero noise
-    scales skip both the draw and the renormalization, so the embeddings
-    reproduce the centers bitwise.
+    embedding in class id order (one [n_classes, d] draw takes the same
+    values, row by row, as one draw of d per class), then the two head
+    matrices.  Zero noise scales skip both the draw and the
+    renormalization, so the embeddings reproduce the centers bitwise.
     """
     rng = rng_for(cfg.seed, "world")
     base = _unit_rows(rng.standard_normal((cfg.n_base, cfg.d)))
@@ -124,10 +124,7 @@ def build_world(cfg: WorldConfig) -> SyntheticWorld:
     if cfg.sigma_text == 0.0:
         emb = centers.copy()
     else:
-        emb = np.empty_like(centers)
-        for c in range(cfg.n_classes):
-            noisy = centers[c] + cfg.sigma_text * rng.standard_normal(cfg.d)
-            emb[c] = _unit_rows(noisy[None, :])[0]
+        emb = _unit_rows(centers + cfg.sigma_text * rng.standard_normal((cfg.n_classes, cfg.d)))
 
     head = FrozenTextHead(
         W1=rng.standard_normal((cfg.d, cfg.d)) / np.sqrt(cfg.d),

@@ -101,7 +101,7 @@ def test_fedavg_identities():
     cfg = TranslatorConfig(d_model=16, n_ctx=4, ffn_mult=2)
 
     def update(client_id, seed):
-        return ClientUpdate(client_id, randomized_translator_params(cfg, seed), 8, 0.0)
+        return ClientUpdate(client_id, randomized_translator_params(cfg, seed), 0.0)
 
     single = update(0, 1)
     single_ok = np.array_equal(
@@ -110,7 +110,7 @@ def test_fedavg_identities():
 
     identical_ok = True
     for k in (3, 7):
-        copies = [ClientUpdate(i, single.params.copy(), 8, 0.0) for i in range(k)]
+        copies = [ClientUpdate(i, single.params.copy(), 0.0) for i in range(k)]
         identical_ok &= np.array_equal(
             fedavg(copies).flatten(), single.params.flatten()
         )

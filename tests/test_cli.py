@@ -12,8 +12,14 @@ from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt import container
 from fedprompt.cli import main
 from fedprompt.config import canonical_text, extract_round, load_config, with_round_marker
-from fedprompt.container import load_checkpoint, load_embeddings_file, save_checkpoint
+from fedprompt.container import (
+    load_checkpoint,
+    load_embeddings_file,
+    save_checkpoint,
+    save_embeddings,
+)
 from fedprompt.translator import init_translator_params
+from fedprompt.world import build_world, world_arrays
 
 TINY = """\
 world.d=16
@@ -152,6 +158,52 @@ class TestTrain:
         ckpt_b, _ = _train(b, tiny_cfg)
         assert open(ckpt_a, "rb").read() == open(ckpt_b, "rb").read()
 
+    @pytest.mark.parametrize("override", ["world.sigma_text=0.5", "master_seed=3"])
+    def test_stored_world_of_other_world_keys_refused(self, tmp_path, tiny_cfg, capsys, override):
+        world_file = tmp_path / "w.ftpe"
+        args = ["make-world", "--config", tiny_cfg, "--set", override, "--out", str(world_file)]
+        assert main(args) == 0
+        code = main(["train", "--config", tiny_cfg, "--world", str(world_file),
+                     "--checkpoint", str(tmp_path / "model.ftpg"),
+                     "--log", str(tmp_path / "log.jsonl")])
+        assert code == 1
+        assert f"world was made with {override}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == sorted([Path(tiny_cfg), world_file])
+
+    def test_stored_world_missing_a_world_key_refused(self, tmp_path, tiny_cfg, capsys):
+        cfg = load_config(tiny_cfg)
+        lines = canonical_text(cfg).splitlines(keepends=True)
+        echo = "".join(line for line in lines if not line.startswith("world.n_new="))
+        world_file = str(tmp_path / "w.ftpe")
+        save_embeddings(world_file, world_arrays(build_world(cfg.world)), echo)
+        code = main(["train", "--config", tiny_cfg, "--world", world_file,
+                     "--checkpoint", str(tmp_path / "model.ftpg"),
+                     "--log", str(tmp_path / "log.jsonl")])
+        assert code == 1
+        assert "no world.n_new line" in capsys.readouterr().err
+
+    def test_stored_world_ignores_other_echo_lines(self, tmp_path, tiny_cfg):
+        # written under another round count and a key since removed
+        cfg = load_config(tiny_cfg, ["federation.rounds=9"])
+        echo = canonical_text(cfg) + "translator.n_heads=4\n"
+        world_file = str(tmp_path / "w.ftpe")
+        save_embeddings(world_file, world_arrays(build_world(cfg.world)), echo)
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        ckpt_a, _ = _train(a, tiny_cfg, "--world", world_file)
+        ckpt_b, _ = _train(b, tiny_cfg)
+        assert open(ckpt_a, "rb").read() == open(ckpt_b, "rb").read()
+
+    def test_line_break_in_value_writes_nothing(self, tmp_path, tiny_cfg, capsys):
+        code = main(["train", "--config", tiny_cfg, "--set", "eval.report_dir=a\nb",
+                     "--checkpoint", str(tmp_path / "model.ftpg"),
+                     "--log", str(tmp_path / "log.jsonl")])
+        assert code == 1
+        assert "eval.report_dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(tiny_cfg)]
+
     def test_failed_checkpoint_write_keeps_previous_bytes(self, tmp_path, tiny_cfg, monkeypatch):
         ckpt, log = _train(tmp_path, tiny_cfg)
         before = Path(ckpt).read_bytes()
@@ -217,6 +269,22 @@ class TestEval:
         payload = json.loads(open(out).read())
         assert payload["base"] == payload["zero_context_baseline"]["base"]
         assert payload["new"] == payload["zero_context_baseline"]["new"]
+
+    def test_stored_world_of_other_world_keys_refused(self, tmp_path, tiny_cfg, capsys):
+        ckpt, _ = _train(tmp_path, tiny_cfg)
+        world_file = str(tmp_path / "w.ftpe")
+        out = tmp_path / "eval.json"
+        args = ["make-world", "--config", tiny_cfg, "--set", "world.sigma_text=0.5"]
+        assert main([*args, "--out", world_file]) == 0
+        assert main(["eval", "--checkpoint", ckpt, "--world", world_file, "--out", str(out)]) == 1
+        assert "world.sigma_text" in capsys.readouterr().err
+        assert not out.exists()
+        # a world made under the checkpoint's world keys scores like the rebuilt one
+        assert main(["make-world", "--config", tiny_cfg, "--out", world_file]) == 0
+        assert main(["eval", "--checkpoint", ckpt, "--world", world_file, "--out", str(out)]) == 0
+        rebuilt = tmp_path / "rebuilt.json"
+        assert main(["eval", "--checkpoint", ckpt, "--out", str(rebuilt)]) == 0
+        assert out.read_bytes() == rebuilt.read_bytes()
 
     def test_eval_override_n_test(self, tmp_path, tiny_cfg):
         ckpt, _ = _train(tmp_path, tiny_cfg)

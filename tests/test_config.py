@@ -6,6 +6,7 @@ import pytest
 
 from fedprompt.config import (
     KEYS,
+    WORLD_KEYS,
     ExperimentConfig,
     apply_overrides,
     build_config,
@@ -48,6 +49,65 @@ class TestDefaults:
         table = {key: (default, doc) for key, default, doc in rows}
         assert len(table) == len(rows), "README lists a key twice"
         assert table == {key: (str(spec.default), spec.doc) for key, spec in KEYS.items()}
+
+
+SECTIONS = {"world": WorldConfig, "translator": TranslatorConfig, "optimizer": OptimizerConfig}
+
+# a valid value other than the default for every key
+NON_DEFAULT = {
+    "master_seed": "5",
+    "world.d": "16",
+    "world.n_base": "61",
+    "world.n_new": "7",
+    "world.sigma_img": "0.5",
+    "world.sigma_text": "0.1",
+    "world.interp_lo": "0.4",
+    "world.interp_hi": "0.6",
+    "translator.n_ctx": "2",
+    "translator.ffn_mult": "3",
+    "optimizer.lr0": "0.003",
+    "optimizer.momentum": "0.5",
+    "optimizer.weight_decay": "0.0",
+    "optimizer.batch_size": "16",
+    "optimizer.temperature": "0.07",
+    "federation.n_clients": "3",
+    "federation.classes_per_client": "5",
+    "federation.shots": "2",
+    "federation.rounds": "7",
+    "federation.local_epochs": "2",
+    "federation.fraction": "0.5",
+    "eval.n_test": "9",
+    "eval.report_dir": "figs/run1",
+}
+
+
+class TestKeyTable:
+    def test_type_and_default_read_from_field_path(self):
+        for key, spec in KEYS.items():
+            section, _, name = key.rpartition(".")
+            owner = SECTIONS.get(section, ExperimentConfig)
+            (f,) = [f for f in dataclasses.fields(owner) if f.name == name]
+            assert spec.type in (int, float, str), key
+            assert spec.type is f.type, key
+            assert spec.default == f.default, key
+
+    def test_every_key_changes_exactly_itself_and_round_trips(self):
+        assert set(NON_DEFAULT) == set(KEYS)
+        defaults = default_values()
+        for key, raw in NON_DEFAULT.items():
+            cfg = build_config(apply_overrides(defaults, [f"{key}={raw}"]))
+            values = config_values(cfg)
+            assert values[key] == KEYS[key].type(raw) != defaults[key], key
+            assert [k for k in KEYS if values[k] != defaults[k]] == [key]
+            assert build_config(parse_config_text(canonical_text(cfg))) == cfg, key
+
+    def test_world_keys_are_the_keys_that_change_the_world(self):
+        default_world = ExperimentConfig().world
+        changes_world = [
+            key for key, raw in NON_DEFAULT.items()
+            if load_config(None, [f"{key}={raw}"]).world != default_world
+        ]
+        assert sorted(changes_world) == list(WORLD_KEYS)
 
 
 class TestParsing:
@@ -100,6 +160,26 @@ class TestOverrides:
     def test_override_without_equals(self):
         with pytest.raises(ConfigError, match="--set"):
             apply_overrides(default_values(), ["federation.rounds"])
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x1c", "\u2028"])
+    def test_line_break_in_string_value_rejected_naming_key(self, brk):
+        with pytest.raises(ConfigError, match=r"eval\.report_dir"):
+            apply_overrides(default_values(), [f"eval.report_dir=a{brk}b"])
+
+    def test_line_break_rejected_over_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("eval.report_dir=figs\n")
+        assert load_config(path).report_dir == "figs"
+        with pytest.raises(ConfigError, match=r"eval\.report_dir.*--set"):
+            load_config(path, ["eval.report_dir=figs\nb"])
+        # the file's own lines are split first, so the tail is a bad line
+        path.write_text("eval.report_dir=figs\u2028b\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="line 2"):
+            load_config(path)
+
+    def test_outer_line_breaks_are_stripped(self):
+        values = apply_overrides(default_values(), ["eval.report_dir=figs\n"])
+        assert values["eval.report_dir"] == "figs"
 
     def test_malformed_override_value(self):
         with pytest.raises(ConfigError, match=r"federation\.rounds"):

@@ -130,7 +130,7 @@ class TestSelectClients:
 
 class TestFedAvg:
     def make_update(self, cid, values):
-        return ClientUpdate(cid, ParameterSet([Parameter("w", values)]), 4, 0.5)
+        return ClientUpdate(cid, ParameterSet([Parameter("w", values)]), 0.5)
 
     def test_mean_frozen_value(self):
         merged = fedavg([self.make_update(0, [1.0]), self.make_update(1, [2.0]),
@@ -155,7 +155,7 @@ class TestFedAvg:
         assert np.array_equal(a["w"].value, b["w"].value)
 
     def test_schema_mismatch_names_clients(self):
-        bad = ClientUpdate(9, ParameterSet([Parameter("w", [1.0, 2.0])]), 4, 0.5)
+        bad = ClientUpdate(9, ParameterSet([Parameter("w", [1.0, 2.0])]), 0.5)
         with pytest.raises(SchemaError) as err:
             fedavg([self.make_update(0, [1.0]), bad])
         assert "0" in str(err.value) and "9" in str(err.value)
@@ -328,7 +328,6 @@ class TestLocalUpdate:
         update = local_update(params, world, datasets[0], OPT, TRANS, 1, 0.05,
                               np.random.default_rng(1), 0)
         assert not np.array_equal(update.params.flatten(), params.flatten())
-        assert update.n_samples == len(datasets[0])
 
     def test_overflowing_step_raises(self, world):
         # decay 10 at lr 1e308 sends W_v (std 1/4) past the float64 range

@@ -6,6 +6,7 @@ import pytest
 from fedprompt import autograd as ag
 from fedprompt.autograd import Parameter, ParameterSet, grad_check
 from fedprompt.errors import ConfigError, DimensionError
+from fedprompt.seeding import rng_for
 from fedprompt.world import (
     WorldConfig,
     build_world,
@@ -124,6 +125,29 @@ class TestImages:
         single = np.concatenate([sample_image(w, 5, rng, 1) for _ in range(7)])
         assert batched.shape == (7, d)
         assert batched.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("n_new", [0, 3])
+    @pytest.mark.parametrize("sigma_text", [0.05, 1.0])
+    @pytest.mark.parametrize("d", [16, 129])
+    def test_text_noise_draw_equals_per_class_draws_bitwise(self, d, sigma_text, n_new):
+        cfg = WorldConfig(d=d, n_base=5, n_new=n_new, sigma_text=sigma_text, seed=11)
+        w = build_world(cfg)
+        # replay the draw order with one d-draw per class-name embedding
+        rng = rng_for(cfg.seed, "world")
+        rng.standard_normal((cfg.n_base, d))
+        for _ in range(n_new):
+            rng.choice(cfg.n_base, size=2, replace=False)
+            rng.uniform(cfg.interp_lo, cfg.interp_hi)
+        centers = np.concatenate([w.base_centers, w.new_centers])
+        emb = np.empty_like(centers)
+        for c in range(cfg.n_classes):
+            noisy = centers[c] + sigma_text * rng.standard_normal(d)
+            emb[c] = noisy / max(np.sqrt((noisy * noisy).sum()), 1e-8)
+        W1 = rng.standard_normal((d, d)) / np.sqrt(d)
+        W2 = rng.standard_normal((d, d)) / np.sqrt(d)
+        assert w.class_embeddings.tobytes() == emb.tobytes()
+        assert w.head.W1.tobytes() == W1.tobytes()
+        assert w.head.W2.tobytes() == W2.tobytes()
 
 
 def emb_rows(world, class_ids):
