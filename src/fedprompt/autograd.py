@@ -13,10 +13,13 @@ Larger blocks of the model are single nodes with hand-written backward
 rules built on the same DiffNode (translator.translate_one and
 world.text_feature); both take their exact GELU from gelu_cdf and
 gelu_slope here, so the backward pass reuses the forward's erf.  All
-math is float64 on plain, read-only ndarrays.  Finiteness is checked
-where state and results leave the graph, raising NumericError:
-Parameter values (init, load, fedavg, every SGD step), the cross_entropy
-loss, the analytic gradients in grad_check, and
+math is float64 on plain, read-only ndarrays: node values and the
+gradients backward() stores are frozen, so an array may be shared
+between nodes, between a gradient and the rule output it came from, and
+between a Parameter and its copies, without ever being copied.
+Finiteness is checked where state and results leave the graph, raising
+NumericError: Parameter values (init, load, fedavg, every SGD step), the
+cross_entropy loss, the analytic gradients in grad_check, and
 federation.class_text_features.
 """
 
@@ -33,8 +36,8 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _checked(name: str, value) -> np.ndarray:
-    arr = np.array(value, dtype=np.float64, order="C", copy=True)
+def _checked(name: str, value, copy: bool) -> np.ndarray:
+    arr = np.array(value, dtype=np.float64, order="C", copy=True if copy else None)
     if not np.isfinite(arr).all():
         raise NumericError(f"parameter {name!r} has non-finite values")
     arr.setflags(write=False)
@@ -74,18 +77,35 @@ class DiffNode:
 
 
 class Parameter(DiffNode):
-    """Named trainable leaf; its value is always a private float64 C-order
-    copy, finite (else NumericError) and read-only."""
+    """Named trainable leaf; its value is a float64 C-order array, finite
+    (else NumericError naming the tensor) and read-only.
+
+    By default the value is a private copy of what the caller passed.
+    With copy=False a float64 C-order array is adopted as it is (anything
+    else is still converted): the caller hands it over, and it is checked
+    and frozen in place.  Since a value is never written, copies of a
+    Parameter (twin) share it.
+    """
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, value):
-        super().__init__(_checked(name, value), op="param")
+    def __init__(self, name: str, value, *, copy: bool = True):
+        super().__init__(_checked(name, value, copy), op="param")
         self.name = name
 
-    def set_value(self, value) -> None:
-        """Replace the stored value; the existing grad is kept as-is."""
-        self.value = _checked(self.name, value)
+    def set_value(self, value, *, copy: bool = True) -> None:
+        """Replace the stored value, as the constructor takes one; the
+        existing grad is kept as-is."""
+        self.value = _checked(self.name, value, copy)
+
+    def twin(self) -> "Parameter":
+        """A new leaf of the same name over the same frozen value, with no
+        grad; the value is already finite, so it is neither copied nor
+        checked again."""
+        twin = Parameter.__new__(Parameter)
+        DiffNode.__init__(twin, self.value, op="param")
+        twin.name = self.name
+        return twin
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -94,8 +114,8 @@ class Parameter(DiffNode):
 class ParameterSet:
     """Collection of uniquely named parameters with a fixed flattening order.
 
-    Iteration, flatten() and unflatten() all use lexicographic name order,
-    so two sets with equal schemas serialize coordinates identically.
+    Iteration and flatten() use lexicographic name order, so two sets
+    with equal schemas serialize coordinates identically.
     """
 
     def __init__(self, params: Sequence[Parameter]):
@@ -139,24 +159,11 @@ class ParameterSet:
             return np.empty(0)
         return np.concatenate([p.value.reshape(-1) for p in self])
 
-    def unflatten(self, flat) -> "ParameterSet":
-        """Rebuild a set with this schema from a flat vector."""
-        vec = np.asarray(flat, dtype=np.float64)
-        if vec.ndim != 1:
-            raise DimensionError(f"flat vector must be 1-D, got shape {vec.shape}")
-        if vec.size != self.n_scalars():
-            raise SchemaError(
-                f"flat vector has {vec.size} scalars, schema needs {self.n_scalars()}"
-            )
-        out, offset = [], 0
-        for name, p in self.items():
-            n = p.value.size
-            out.append(Parameter(name, vec[offset : offset + n].reshape(p.shape)))
-            offset += n
-        return ParameterSet(out)
-
     def copy(self) -> "ParameterSet":
-        return ParameterSet([Parameter(name, p.value) for name, p in self.items()])
+        """A set of new Parameters (see Parameter.twin) over the same frozen
+        value arrays: nothing is copied, and setting a value in one set
+        never shows in the other."""
+        return ParameterSet([p.twin() for p in self])
 
     def check_same_schema(self, other: "ParameterSet", label: str = "parameter set") -> None:
         if self.schema() != other.schema():
@@ -268,7 +275,10 @@ def backward(root: DiffNode) -> None:
     """Populate .grad on every node reachable from the scalar root.
 
     Gradients accumulate across fan-out within one call, but each call
-    overwrites whatever a previous backward left behind.
+    overwrites whatever a previous backward left behind.  A node's first
+    gradient is stored as its rule returned it, with no copy, and further
+    ones are added out of place; every stored gradient is frozen, so the
+    arrays this sharing aliases are never written.
     """
     if root.value.size != 1:
         raise DimensionError(f"backward needs a scalar root, got shape {root.shape}")
@@ -277,6 +287,7 @@ def backward(root: DiffNode) -> None:
     for node in reversed(order):
         # reversed post-order: every consumer of node has already run
         g = acc[id(node)]
+        g.setflags(write=False)
         node.grad = g
         if node._rule is None:
             continue
@@ -289,7 +300,7 @@ def backward(root: DiffNode) -> None:
                     f"{node.op} gradient shape {pg.shape} does not match parent {parent.value.shape}"
                 )
             prev = acc.get(id(parent))
-            acc[id(parent)] = pg.copy() if prev is None else prev + pg
+            acc[id(parent)] = pg if prev is None else prev + pg
 
 
 def grad_check(

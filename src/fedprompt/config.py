@@ -5,8 +5,8 @@ each key's one-line description; its type and default are read from
 that field, so the parser, the serializer and the documentation cannot
 drift apart.  A config file lists any subset of keys, later lines
 override earlier ones, unknown keys are hard errors naming the key and
-line, and --set overrides apply after the file.  String values may not
-contain line breaks.
+line, and --set overrides apply after the file.  String values may be
+neither empty nor broken over lines.
 
 canonical_text() serializes a config as sorted key=value lines; that
 text is what checkpoints embed, and parsing it back reproduces the
@@ -141,6 +141,9 @@ def _parse_value(key: str, raw: str, where: str):
         ) from None
     if spec.type is float and not math.isfinite(value):
         raise ConfigError(f"non-finite value for {key!r} ({where}): {raw!r}")
+    # a str value names a directory (eval.report_dir), and empty names none
+    if spec.type is str and not value:
+        raise ConfigError(f"empty value for {key!r} ({where})")
     # the echo holds one key per line, split as parse_config_text splits it
     if spec.type is str and len(value.splitlines()) > 1:
         raise ConfigError(f"line break in value for {key!r} ({where}): {raw!r}")

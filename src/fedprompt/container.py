@@ -36,26 +36,26 @@ _MAX_CONFIG_LEN = 1_000_000
 
 
 def write_container(path, magic: bytes, arrays: dict[str, np.ndarray], config_text: str) -> None:
+    """Write the container straight to a temp file, piece by piece: each
+    tensor's values go out as one little-endian C-order buffer, which for
+    a float64 C-order array is the array's own memory, not a copy."""
     if len(magic) != 4:
         raise ValueError("magic must be exactly 4 bytes")
-    chunks = [magic, struct.pack("<II", CONTAINER_VERSION, len(arrays))]
-    for name in sorted(arrays):
-        # note: not ascontiguousarray, which would promote rank 0 to rank 1
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        name_b = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        chunks.append(arr.astype("<f8").tobytes(order="C"))
-    config_b = config_text.encode("utf-8")
-    chunks.append(struct.pack("<I", len(config_b)))
-    chunks.append(config_b)
-
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(b"".join(chunks))
+            f.write(magic)
+            f.write(struct.pack("<II", CONTAINER_VERSION, len(arrays)))
+            for name in sorted(arrays):
+                arr = np.asarray(arrays[name], dtype=np.float64)
+                name_b = name.encode("utf-8")
+                f.write(struct.pack("<I", len(name_b)) + name_b)
+                f.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+                # only the buffer is taken from here: ascontiguousarray
+                # promotes rank 0 to rank 1, so the shape comes from arr
+                f.write(np.ascontiguousarray(arr, dtype="<f8").data)
+            config_b = config_text.encode("utf-8")
+            f.write(struct.pack("<I", len(config_b)) + config_b)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

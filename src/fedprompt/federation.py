@@ -1,13 +1,19 @@
 """Federated optimization of the prompt translator.
 
-Each round, participating clients copy the current global parameters,
-run a few epochs of local SGD on their own class subset, and send the
-resulting parameters back; the server replaces the global model with the
-uniform coordinatewise mean.  Clients hold disjoint classes, so locally
-the task is a small closed-set classification problem over each client's
-own label space.  Each local step builds one graph for the client's whole
-class set: one translator pass and one text-head pass over all of its
-classes, whatever their number.
+Each round, participating clients start from the current global
+parameters, run a few epochs of local SGD on their own class subset, and
+send the resulting parameters back; the server replaces the global model
+with the uniform coordinatewise mean.  Clients hold disjoint classes, so
+locally the task is a small closed-set classification problem over each
+client's own label space.  Each local step builds one graph for the
+client's whole class set: one translator pass and one text-head pass over
+all of its classes, whatever their number.
+
+Parameter values are read-only arrays, so a client's start shares the
+global arrays instead of copying them; each SGD step computes every
+tensor's new value in one new array, and the average is built tensor by
+tensor in place, so a round makes no full-size pass over the parameters
+that its float operations do not need.
 
 Everything here is deterministic: client selection, batch shuffling and
 the aggregation order are all fixed functions of the master seed, and
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fedprompt import autograd as ag
-from fedprompt.autograd import ParameterSet
+from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.errors import ConfigError, ContractError, NumericError, SchemaError
 from fedprompt.partition import FewShotSet
 from fedprompt.seeding import rng_for
@@ -74,14 +80,22 @@ def sgd_step(
 
     The decay term joins the gradient before the momentum update:
     v <- momentum * v + (grad + weight_decay * theta), theta <- theta - lr * v.
-    Raises if any parameter is missing its gradient.
+    The caller's velocity arrays are updated in place.  Each tensor's new
+    value is computed into one fresh array that its Parameter then adopts
+    without a copy, finite-checked and frozen.  Raises if any parameter is
+    missing its gradient.
     """
     for name, p in params.items():
         if p.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient; run backward first")
-        g = p.grad + cfg.weight_decay * p.value
-        velocity[name] = cfg.momentum * velocity[name] + g
-        p.set_value(p.value - lr * velocity[name])
+        v = velocity[name]
+        step = np.multiply(p.value, cfg.weight_decay, out=np.empty_like(p.value))
+        step += p.grad
+        v *= cfg.momentum
+        v += step
+        np.multiply(v, lr, out=step)
+        np.subtract(p.value, step, out=step)
+        p.set_value(step, copy=False)
 
 
 @dataclass
@@ -146,11 +160,13 @@ def local_update(
     rng: np.random.Generator,
     client_id: int,
 ) -> ClientUpdate:
-    """Local epochs of SGD starting from a copy of the global parameters.
+    """Local epochs of SGD starting from the global parameters.
 
-    The velocity starts at zero each call, batches are drawn from a
-    seeded shuffle per epoch, and global_params is never touched.
-    Returns the updated copy together with the mean per-batch loss.
+    The client steps its own Parameters (ParameterSet.copy), which share
+    the global values until the first step replaces them, so global_params
+    and their grads are never touched.  The velocity starts at zero each
+    call and batches are drawn from a seeded shuffle per epoch.  Returns
+    the client's parameters together with the mean per-batch loss.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be positive, got {epochs}")
@@ -198,11 +214,13 @@ def fedavg(updates: list[ClientUpdate]) -> ParameterSet:
     """Uniform coordinatewise mean of client parameters.
 
     Updates are re-sorted by client id before accumulation, so the
-    result never depends on arrival order.  The mean is computed
-    incrementally, m += (x_i - m) / i; unlike a sum-then-divide this
+    result never depends on arrival order.  The mean is computed tensor
+    by tensor and incrementally, m += (x_i - m) / i, with the difference
+    and its quotient in one scratch array; unlike a sum-then-divide this
     keeps a crucial identity exact in floating point: aggregating any
     number of bitwise-identical updates returns those values unchanged,
-    because every increment is exactly zero.
+    because every increment is exactly zero.  The mean arrays become the
+    new Parameters' values without a copy.
     """
     if not updates:
         raise ContractError("fedavg needs at least one update")
@@ -218,10 +236,16 @@ def fedavg(updates: list[ClientUpdate]) -> ParameterSet:
             raise SchemaError(
                 f"clients {ordered[0].client_id} and {u.client_id} disagree: {err}"
             ) from None
-    mean = ordered[0].params.flatten()
-    for i, u in enumerate(ordered[1:], start=2):
-        mean += (u.params.flatten() - mean) / i
-    return schema_owner.unflatten(mean)
+    merged = []
+    for name, p in schema_owner.items():
+        mean = p.value.copy()
+        diff = np.empty_like(mean)
+        for i, u in enumerate(ordered[1:], start=2):
+            np.subtract(u.params[name].value, mean, out=diff)
+            diff /= i
+            mean += diff
+        merged.append(Parameter(name, mean, copy=False))
+    return ParameterSet(merged)
 
 
 @dataclass

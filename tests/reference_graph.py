@@ -1,4 +1,5 @@
-"""Reference composition of the class-feature map from small autograd ops.
+"""Reference composition of the class-feature map from small autograd ops,
+and the plain out-of-place form of the parameter path.
 
 The package runs the translator block and the frozen text head as one
 graph node each, with hand-written backward rules.  This module keeps the
@@ -7,6 +8,12 @@ tests can hold the fused nodes against it: add, layer_norm, gelu, geglu
 and l2_normalize, plus translate_one, text_feature and
 class_text_features built from them with the constant 0/1 tiling and
 pooling matmuls, and probe_sum to reduce a matrix node to a scalar.
+
+The package steps and averages parameters in place, tensor by tensor.
+The same float operations written the direct way are sgd_step (new
+arrays for velocity and value), fedavg (over flatten() vectors, with
+unflatten to rebuild the set) and local_update (on a private copy of
+every value), so the tests can hold the package to them bitwise.
 Nothing here is used outside tests/.
 """
 
@@ -14,8 +21,9 @@ import numpy as np
 from scipy.special import erf
 
 from fedprompt import autograd as ag
-from fedprompt.autograd import DiffNode
+from fedprompt.autograd import DiffNode, Parameter, ParameterSet
 from fedprompt.errors import DimensionError
+from fedprompt.federation import ClientUpdate, class_logits
 from fedprompt.translator import LAYER_NORM_EPS
 from fedprompt.world import L2_NORM_EPS
 
@@ -147,3 +155,48 @@ def class_text_features(params, cfg, world, class_ids) -> DiffNode:
 def probe_sum(x: DiffNode, probe: np.ndarray) -> DiffNode:
     """Scalar sum(x * probe), so every entry of x gets its own weight."""
     return DiffNode(np.array((x.value * probe).sum()), (x,), lambda g: (g * probe,), op="probe")
+
+
+def sgd_step(params: ParameterSet, velocity: dict, lr: float, cfg) -> None:
+    """federation.sgd_step with a new array for every result."""
+    for name, p in params.items():
+        g = p.grad + cfg.weight_decay * p.value
+        velocity[name] = cfg.momentum * velocity[name] + g
+        p.set_value(p.value - lr * velocity[name])
+
+
+def unflatten(like: ParameterSet, flat: np.ndarray) -> ParameterSet:
+    """The set with like's schema whose flatten() is flat."""
+    assert flat.shape == (like.n_scalars(),)
+    out, offset = [], 0
+    for name, p in like.items():
+        out.append(Parameter(name, flat[offset : offset + p.value.size].reshape(p.shape)))
+        offset += p.value.size
+    return ParameterSet(out)
+
+
+def fedavg(updates: list) -> ParameterSet:
+    """federation.fedavg over whole flattened vectors."""
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    mean = ordered[0].params.flatten()
+    for i, u in enumerate(ordered[1:], start=2):
+        mean += (u.params.flatten() - mean) / i
+    return unflatten(ordered[0].params, mean)
+
+
+def local_update(global_params, world, dataset, opt_cfg, trans_cfg, epochs, lr, rng, client_id):
+    """federation.local_update on private copies, stepped by sgd_step above."""
+    params = ParameterSet([Parameter(name, p.value) for name, p in global_params.items()])
+    velocity = {name: np.zeros(p.shape) for name, p in params.items()}
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(dataset))
+        for start in range(0, len(order), opt_cfg.batch_size):
+            batch = order[start : start + opt_cfg.batch_size]
+            logits = class_logits(params, trans_cfg, world, dataset.class_ids,
+                                  dataset.images[batch], opt_cfg.temperature)
+            loss = ag.cross_entropy(logits, dataset.labels[batch])
+            ag.backward(loss)
+            sgd_step(params, velocity, lr, opt_cfg)
+            losses.append(loss.value.item())
+    return ClientUpdate(client_id, params, float(np.mean(losses)))

@@ -18,7 +18,7 @@ from fedprompt.autograd import (
     transpose,
 )
 from fedprompt.errors import DimensionError, NumericError, SchemaError
-from reference_graph import add, geglu, gelu, l2_normalize, layer_norm
+from reference_graph import add, geglu, gelu, l2_normalize, layer_norm, unflatten
 
 # standard normal cdf at 1.0, dependable to the last float64 digit
 PHI_1 = 0.8413447460685429
@@ -170,6 +170,23 @@ class TestBackward:
         backward(y)
         assert x.grad[0, 0] == 2.0
 
+    def test_gradients_read_only(self):
+        a = Parameter("a", np.arange(6.0).reshape(2, 3))
+        b = Parameter("b", np.ones((3, 2)))
+        # fan-out, a transposed view and a first gradient stored uncopied
+        ab = matmul(a, b)
+        root = cross_entropy(add(ab, transpose(transpose(ab))), [0, 1])
+        backward(root)
+        nodes, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.parents)
+        for node in nodes:
+            assert not node.grad.flags.writeable, node.op
+            with pytest.raises(ValueError):
+                node.grad[...] = 0.0
+
     def test_second_backward_overwrites(self):
         x = Parameter("x", [[2.0]])
         y = add(x, x)
@@ -291,15 +308,17 @@ class TestParameterSet:
     def test_flatten_round_trip_bitwise(self):
         ps = self.make()
         flat = ps.flatten()
-        assert flat.shape == (17,)
-        rebuilt = ps.unflatten(flat)
+        # lexicographic: W_q, then bias, then queries
+        assert np.array_equal(flat, [1.0] * 9 + [7.0, 8.0] + list(range(6)))
+        rebuilt = unflatten(ps, flat)
         for name, p in ps.items():
-            assert np.array_equal(rebuilt[name].value, p.value)
+            assert rebuilt[name].value.tobytes() == p.value.tobytes()
 
-    def test_unflatten_wrong_length(self):
+    def test_flatten_length_is_schema_size(self):
         ps = self.make()
-        with pytest.raises(SchemaError):
-            ps.unflatten(np.zeros(5))
+        assert ps.flatten().shape == (ps.n_scalars(),) == (17,)
+        assert ps.n_scalars() == sum(int(np.prod(shape)) for _, shape in ps.schema())
+        assert ParameterSet([]).flatten().shape == (0,)
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(SchemaError):
@@ -311,11 +330,23 @@ class TestParameterSet:
         with pytest.raises(SchemaError):
             ps.check_same_schema(other)
 
-    def test_copy_is_deep(self):
+    def test_copy_is_independent(self):
         ps = self.make()
         dup = ps.copy()
         dup["bias"].set_value(np.array([0.0, 0.0]))
+        dup["W_q"].grad = np.ones((3, 3))
         assert np.array_equal(ps["bias"].value, [7.0, 8.0])
+        assert ps["W_q"].grad is None
+
+    def test_copy_shares_read_only_values(self):
+        ps = self.make()
+        ps["bias"].grad = np.ones(2)
+        dup = ps.copy()
+        assert dup.schema() == ps.schema()
+        for name, p in ps.items():
+            assert dup[name] is not p and dup[name].name == name
+            assert dup[name].value is p.value and not p.value.flags.writeable
+            assert dup[name].grad is None
 
     def test_missing_name(self):
         with pytest.raises(SchemaError):

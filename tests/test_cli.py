@@ -371,6 +371,13 @@ class TestReport:
         assert main(["report", "--set", "eval.report_dir=figs"]) == 0
         assert (tmp_path / "figs" / "summary.csv").exists()
 
+    def test_empty_report_dir_refused_creating_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["report", "--set", "eval.report_dir="])
+        assert code == 1
+        assert "eval.report_dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSelftest:
     def test_selftest_passes_on_clean_build(self, capsys):

@@ -177,6 +177,13 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
 
+    @pytest.mark.parametrize("raw", ["", "  ", "\t"])
+    def test_empty_string_value_rejected_naming_key(self, raw):
+        with pytest.raises(ConfigError, match=r"empty value for 'eval\.report_dir' \(--set\)"):
+            apply_overrides(default_values(), [f"eval.report_dir={raw}"])
+        with pytest.raises(ConfigError, match=r"eval\.report_dir.*run\.cfg line 2"):
+            parse_config_text(f"federation.rounds=3\neval.report_dir={raw}\n", "run.cfg")
+
     def test_outer_line_breaks_are_stripped(self):
         values = apply_overrides(default_values(), ["eval.report_dir=figs\n"])
         assert values["eval.report_dir"] == "figs"

@@ -84,6 +84,34 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_exact_bytes(self, tmp_path):
+        grid = np.arange(12.0).reshape(3, 4)
+        arrays = {
+            "b": grid[:, ::2],  # strided, not C-contiguous
+            "a": np.array(-1.5),  # rank 0
+            "c": np.asfortranarray(grid[:2, :2]).astype(">f8"),
+        }
+        path = tmp_path / "exact.ftpg"
+        write_container(path, CHECKPOINT_MAGIC, arrays, "k=v\n")
+        expected = b"".join([
+            b"FTPG", struct.pack("<II", 1, 3),
+            struct.pack("<I", 1), b"a", struct.pack("<I", 0), struct.pack("<d", -1.5),
+            struct.pack("<I", 1), b"b", struct.pack("<III", 2, 3, 2),
+            struct.pack("<6d", 0, 2, 4, 6, 8, 10),
+            struct.pack("<I", 1), b"c", struct.pack("<III", 2, 2, 2),
+            struct.pack("<4d", 0, 1, 4, 5),
+            struct.pack("<I", 4), b"k=v\n",
+        ])
+        assert path.read_bytes() == expected
+        loaded, _ = read_container(path, CHECKPOINT_MAGIC)
+        assert loaded["a"].shape == ()
+
+    def test_failed_tensor_write_removes_temp_file(self, tmp_path):
+        path = tmp_path / "f.ftpg"
+        with pytest.raises(ValueError):
+            write_container(path, CHECKPOINT_MAGIC, {"a": np.ones(2), "b": np.array(["x"])}, "")
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_container(self, tmp_path):
         path = tmp_path / "empty.ftpe"
         write_container(path, EMBEDDINGS_MAGIC, {}, "nothing=here\n")

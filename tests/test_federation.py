@@ -314,6 +314,21 @@ class TestLocalUpdate:
                      np.random.default_rng(0), 0)
         assert np.array_equal(params.flatten(), before)
 
+    def test_global_values_and_grads_untouched(self, world):
+        datasets, params = small_setup(world)
+        loss = ag.cross_entropy(class_logits(params, TRANS, world, datasets[0].class_ids,
+                                             datasets[0].images, 0.5), datasets[0].labels)
+        backward(loss)
+        values = {name: p.value for name, p in params.items()}
+        grads = {name: p.grad for name, p in params.items()}
+        before = {name: (p.value.tobytes(), p.grad.tobytes()) for name, p in params.items()}
+        update = local_update(params, world, datasets[0], OPT, TRANS, 2, 0.05,
+                              np.random.default_rng(0), 0)
+        for name, p in params.items():
+            assert p.value is values[name] and p.grad is grads[name]
+            assert (p.value.tobytes(), p.grad.tobytes()) == before[name]
+            assert not np.shares_memory(update.params[name].value, p.value)
+
     def test_deterministic_given_rng_seed(self, world):
         datasets, params = small_setup(world)
         a = local_update(params, world, datasets[0], OPT, TRANS, 2, 0.05,
@@ -352,6 +367,70 @@ class TestLocalUpdate:
         many = local_update(params, world, datasets[0], opt, TRANS, 8, 0.2,
                             np.random.default_rng(3), 0)
         assert many.mean_loss < first.mean_loss
+
+
+def value_bytes(params):
+    return {name: p.value.tobytes() for name, p in params.items()}
+
+
+class TestParameterPathAgainstReference:
+    """The in-place sgd_step and the tensor-by-tensor fedavg against their
+    out-of-place references, bitwise."""
+
+    def random_set(self, seed):
+        rng = np.random.default_rng(seed)
+        return ParameterSet([
+            Parameter("W", rng.standard_normal((20, 30))),
+            Parameter("b", rng.standard_normal(7)),
+            Parameter("s", rng.standard_normal(())),
+        ])
+
+    def test_sgd_steps_match_reference(self):
+        cfg = OptimizerConfig(momentum=0.9, weight_decay=1e-2)
+        ours, theirs = self.random_set(0), self.random_set(0)
+        vel_ours = {name: np.zeros(p.shape) for name, p in ours.items()}
+        vel_ref = {name: np.zeros(p.shape) for name, p in ours.items()}
+        held = dict(vel_ours)
+        rng = np.random.default_rng(1)
+        for lr in (0.1, 0.07, 0.03, 0.011, 0.0):
+            for name in ours.names():
+                g = rng.standard_normal(ours[name].shape)
+                ours[name].grad, theirs[name].grad = g, g.copy()
+            sgd_step(ours, vel_ours, lr, cfg)
+            ref.sgd_step(theirs, vel_ref, lr, cfg)
+            assert value_bytes(ours) == value_bytes(theirs)
+            assert {n: v.tobytes() for n, v in vel_ours.items()} == {
+                n: np.asarray(v).tobytes() for n, v in vel_ref.items()
+            }
+        # the velocity is stepped in place, and the new values are frozen
+        assert all(vel_ours[name] is held[name] for name in held)
+        assert not any(p.value.flags.writeable for p in ours)
+
+    def test_fedavg_matches_reference(self):
+        updates = [ClientUpdate(cid, self.random_set(10 + cid), 0.0) for cid in (4, 0, 3, 1, 2)]
+        ours = fedavg(updates)
+        assert value_bytes(ours) == value_bytes(ref.fedavg(updates))
+        for name, p in ours.items():
+            assert not p.value.flags.writeable
+            assert not any(np.shares_memory(p.value, u.params[name].value) for u in updates)
+
+    def test_three_rounds_match_reference_loop(self, world):
+        datasets, params = small_setup(world, n_clients=3)
+        opt = OptimizerConfig(lr0=0.05, momentum=0.9, weight_decay=1e-2, batch_size=4)
+        seed, total_rounds, epochs, fraction = 42, 3, 2, 0.7
+        trained, logs = run_training(world, datasets, opt, TRANS, params, total_rounds,
+                                     epochs, fraction, seed)
+        current = params
+        for t in range(total_rounds):
+            lr = cosine_lr(opt.lr0, t, total_rounds)
+            updates = [
+                ref.local_update(current, world, datasets[cid], opt, TRANS, epochs, lr,
+                                 rng_for(seed, "local", t, cid), cid)
+                for cid in select_clients(len(datasets), fraction, seed, t)
+            ]
+            current = ref.fedavg(updates)
+            assert logs[t].client_loss == {u.client_id: u.mean_loss for u in updates}
+        assert value_bytes(trained) == value_bytes(current)
 
 
 class TestRunTraining:

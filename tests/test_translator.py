@@ -51,9 +51,13 @@ class TestSchema:
 
     def test_flatten_round_trip(self):
         params = randomized_params(CFG16, 5)
-        rebuilt = params.unflatten(params.flatten())
+        flat = params.flatten()
+        assert flat.shape == (2144,)
+        order = sorted(name for name, _ in translator_schema(CFG16))
+        assert np.array_equal(flat, np.concatenate([params[n].value.ravel() for n in order]))
+        rebuilt = ref.unflatten(params, flat)
         for name, p in params.items():
-            assert np.array_equal(rebuilt[name].value, p.value)
+            assert rebuilt[name].value.tobytes() == p.value.tobytes()
 
 
 class TestInit:
