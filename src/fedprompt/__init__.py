@@ -12,7 +12,6 @@ evaluate_both_splits, or the same through the command line via `main`.
 """
 
 from fedprompt.autograd import Parameter, ParameterSet, grad_check
-from fedprompt.charts import emit_charts
 from fedprompt.cli import main
 from fedprompt.config import ExperimentConfig, canonical_text, load_config
 from fedprompt.container import (
@@ -85,7 +84,6 @@ __all__ = [
     "compare_to_reference",
     "composite_grad_check",
     "cosine_lr",
-    "emit_charts",
     "eval_result_json",
     "evaluate",
     "evaluate_both_splits",

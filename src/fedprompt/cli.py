@@ -3,11 +3,13 @@
 Six subcommands cover the full experiment cycle: make-world samples and
 stores a synthetic embedding world, train runs the federated loop and
 checkpoints every round, eval scores a checkpoint on base and new
-classes, report writes the reference comparison tables and charts, and
+classes, report renders the reference comparison and writes its five
+files (two CSV tables, the summary JSON and two SVG charts), and
 gradcheck/selftest are built-in health probes.
 
-Exit codes: 0 on success, 1 for configuration and contract errors, 2
-for I/O and file format errors.
+Exit codes: 0 on success, 1 for usage, configuration and contract errors
+(an empty path option is refused before any work), 2 for I/O and file
+format errors.
 """
 
 import argparse
@@ -16,6 +18,7 @@ import sys
 
 import numpy as np
 
+from fedprompt.charts import error_rate_chart, gap_chart
 from fedprompt.config import (
     KEYS,
     apply_overrides,
@@ -44,7 +47,7 @@ from fedprompt.federation import run_training
 from fedprompt.partition import build_client_dataset, partition_classes
 from fedprompt.reporting import (
     compare_to_reference,
-    dec,
+    comparison_csv,
     eval_result_json,
     fixture_results,
     fmt2,
@@ -52,9 +55,7 @@ from fedprompt.reporting import (
     summarize,
     summary_csv,
     summary_json,
-    comparison_csv,
 )
-from fedprompt.charts import emit_charts
 from fedprompt.translator import init_translator_params, translator_schema
 from fedprompt.world import build_world, load_embeddings, world_arrays
 
@@ -89,12 +90,20 @@ class _Parser(argparse.ArgumentParser):
         raise ContractError(f"{self.prog}: {message}")
 
 
+def _path(text: str) -> str:
+    """Argparse type of every path option: an empty path is a usage error,
+    refused before any work is done."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path is not allowed")
+    return text
+
+
 def _parser(command: str, description: str) -> _Parser:
     return _Parser(prog=f"fedprompt {command}", description=description)
 
 
 def _add_config_options(p: _Parser):
-    p.add_argument("--config", metavar="PATH", help="key=value config file")
+    p.add_argument("--config", type=_path, metavar="PATH", help="key=value config file")
     p.add_argument(
         "--set",
         action="append",
@@ -118,7 +127,7 @@ def _world_for(cfg, world_path):
 def _cmd_make_world(args) -> int:
     p = _parser("make-world", "Sample the synthetic embedding world and save it.")
     _add_config_options(p)
-    p.add_argument("--out", default="world.ftpe", metavar="PATH")
+    p.add_argument("--out", type=_path, default="world.ftpe", metavar="PATH")
     a = p.parse_args(args)
     cfg = load_config(a.config, a.overrides)
     world = build_world(cfg.world)
@@ -133,9 +142,11 @@ def _cmd_make_world(args) -> int:
 def _cmd_train(args) -> int:
     p = _parser("train", "Run federated training; checkpoint after every round.")
     _add_config_options(p)
-    p.add_argument("--world", metavar="PATH", help="stored world file; default rebuilds from config")
-    p.add_argument("--checkpoint", default="model.ftpg", metavar="PATH")
-    p.add_argument("--log", default="train_log.jsonl", metavar="PATH")
+    p.add_argument(
+        "--world", type=_path, metavar="PATH", help="stored world file; default rebuilds from config"
+    )
+    p.add_argument("--checkpoint", type=_path, default="model.ftpg", metavar="PATH")
+    p.add_argument("--log", type=_path, default="train_log.jsonl", metavar="PATH")
     a = p.parse_args(args)
     cfg = load_config(a.config, a.overrides)
     world = _world_for(cfg, a.world)
@@ -184,9 +195,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     p = _parser("eval", "Score a checkpoint on the base and new splits.")
-    p.add_argument("--checkpoint", required=True, metavar="PATH")
-    p.add_argument("--world", metavar="PATH", help="stored world file; default rebuilds from config")
-    p.add_argument("--out", default="eval.json", metavar="PATH")
+    p.add_argument("--checkpoint", type=_path, required=True, metavar="PATH")
+    p.add_argument(
+        "--world", type=_path, metavar="PATH", help="stored world file; default rebuilds from config"
+    )
+    p.add_argument("--out", type=_path, default="eval.json", metavar="PATH")
     p.add_argument(
         "--set",
         action="append",
@@ -221,13 +234,10 @@ def _cmd_eval(args) -> int:
     if completed is not None:
         print(f"checkpoint after round {completed}")
     print(
-        f"base {fmt2(dec(result.base_acc))}  new {fmt2(dec(result.new_acc))}  "
-        f"gap {fmt2(dec(result.gap), signed=True)}"
+        f"base {fmt2(result.base_acc)}  new {fmt2(result.new_acc)}  "
+        f"gap {fmt2(result.gap, signed=True)}"
     )
-    print(
-        f"zero-context baseline: base {fmt2(dec(baseline.base_acc))}  "
-        f"new {fmt2(dec(baseline.new_acc))}"
-    )
+    print(f"zero-context baseline: base {fmt2(baseline.base_acc)}  new {fmt2(baseline.new_acc)}")
     print(f"wrote {a.out}")
     return 0
 
@@ -235,26 +245,27 @@ def _cmd_eval(args) -> int:
 def _cmd_report(args) -> int:
     p = _parser("report", "Write the reference comparison tables and charts.")
     _add_config_options(p)
-    p.add_argument("--out-dir", metavar="DIR", help="default: the configured report_dir")
+    p.add_argument(
+        "--out-dir", type=_path, metavar="DIR", help="default: the configured report_dir"
+    )
     a = p.parse_args(args)
     cfg = load_config(a.config, a.overrides)
     out_dir = a.out_dir if a.out_dir is not None else cfg.report_dir
     summary = summarize(fixture_results())
     table = compare_to_reference(summary)
+    files = {
+        "summary.csv": summary_csv(summary),
+        "summary.json": summary_json(summary),
+        "comparison.csv": comparison_csv(table),
+        "error_rates.svg": error_rate_chart(summary.names, summary.base, summary.new),
+        "gaps.svg": gap_chart(summary.names, summary.gaps),
+    }
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for name, text in [
-        ("summary.csv", summary_csv(summary)),
-        ("summary.json", summary_json(summary)),
-        ("comparison.csv", comparison_csv(table)),
-    ]:
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as f:
+    for name, text in files.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
             f.write(text)
-        written.append(path)
-    written.extend(emit_charts(summary, out_dir))
     print(overall_text(table))
-    print(f"wrote {len(written)} files to {out_dir}")
+    print(f"wrote {len(files)} files to {out_dir}")
     return 0
 
 

@@ -6,11 +6,16 @@ and averaging them must reproduce the printed averages down to the
 half-cent case (the gap column averages to exactly 1.425, which rounds
 up to 1.43); float64 cannot promise that, decimal can.
 
+Results enter as plain `(name, base, new)` rows.  The comparison covers
+exactly the embedded reference datasets, in their order.
+
 Display rounding is half-up to two decimals and happens only at format
-time; every stored value keeps full precision.  Delta columns follow
-the reference layout's own convention: they are differences of the
-displayed two-decimal values, which is what makes the printed overall
-deltas (+0.11, -0.23, -0.33) come out exactly.
+time; every stored value keeps full precision.  Every display cell (CSV,
+JSON display block, overall text) goes through one column formatter:
+delta and gap columns carry a sign.  Delta columns follow the reference
+layout's own convention: they are differences of the displayed
+two-decimal values, which is what makes the printed overall deltas
+(+0.11, -0.23, -0.33) come out exactly.
 """
 
 import json
@@ -21,6 +26,7 @@ from fedprompt.errors import ContractError
 from fedprompt.evaluation import EvalResult
 
 TWO_PLACES = Decimal("0.01")
+COLUMNS = ("base", "new", "gap")
 
 
 def dec(x) -> Decimal:
@@ -42,6 +48,11 @@ def fmt2(x, signed: bool = False) -> str:
     if signed:
         return f"+{r}" if r >= 0 else str(r)
     return str(r)
+
+
+def _cells(values: dict, columns) -> list[str]:
+    """Display strings of the named columns; deltas and gaps carry a sign."""
+    return [fmt2(values[c], signed=c.startswith("delta") or c.endswith("gap")) for c in columns]
 
 
 @dataclass(frozen=True)
@@ -90,33 +101,23 @@ class SummaryTable:
     gap_avg: Decimal
 
 
-def summarize(results) -> SummaryTable:
-    """Column averages over per-dataset results.
+def summarize(rows) -> SummaryTable:
+    """Column averages over `(name, base, new)` rows.
 
     The gap average is the mean of the per-dataset gaps, never the
     difference of the rounded column averages; rounding is left to the
     display layer.
     """
-    rows = list(results)
+    rows = list(rows)
     if not rows:
         raise ContractError("summarize needs at least one result")
-    names, base, new, gaps = [], [], [], []
-    for r in rows:
-        names.append(r.dataset_name if isinstance(r, EvalResult) else r.name)
-        b = dec(r.base_acc if isinstance(r, EvalResult) else r.ours_base)
-        n = dec(r.new_acc if isinstance(r, EvalResult) else r.ours_new)
-        base.append(b)
-        new.append(n)
-        gaps.append(n - b)
+    names = tuple(name for name, _, _ in rows)
+    base = tuple(dec(b) for _, b, _ in rows)
+    new = tuple(dec(n) for _, _, n in rows)
+    gaps = tuple(n - b for b, n in zip(base, new))
     count = len(rows)
     return SummaryTable(
-        tuple(names),
-        tuple(base),
-        tuple(new),
-        tuple(gaps),
-        sum(base) / count,
-        sum(new) / count,
-        sum(gaps) / count,
+        names, base, new, gaps, sum(base) / count, sum(new) / count, sum(gaps) / count
     )
 
 
@@ -128,153 +129,111 @@ class ComparisonTable:
     overall: dict  # orig, ours, delta entries for base, new, gap
 
 
-def compare_to_reference(summary: SummaryTable, fixture=REFERENCE_FIXTURE) -> ComparisonTable:
+def _versus(column: str, orig, ours) -> dict:
+    """Displayed original and reproduction values of one column, and their delta."""
+    orig, ours = round2(orig), round2(ours)
+    return {f"orig_{column}": orig, f"ours_{column}": ours, f"delta_{column}": ours - orig}
+
+
+def compare_to_reference(summary: SummaryTable) -> ComparisonTable:
     """Delta table of a summary against the published reference.
 
-    Dataset names must match the fixture exactly; deltas are computed on
-    two-decimal displayed values, matching the reference's printed
-    arithmetic.
+    The summary must cover exactly the reference datasets, in fixture
+    order; deltas are computed on two-decimal displayed values, matching
+    the reference's printed arithmetic.
     """
-    by_name = {row.name: row for row in fixture}
-    rows = []
-    for i, name in enumerate(summary.names):
-        if name not in by_name:
-            raise KeyError(f"dataset {name!r} not in the reference fixture")
-        ref = by_name[name]
-        ours_base, ours_new = round2(summary.base[i]), round2(summary.new[i])
-        rows.append(
-            {
-                "name": name,
-                "orig_base": round2(ref.orig_base),
-                "ours_base": ours_base,
-                "delta_base": ours_base - round2(ref.orig_base),
-                "orig_new": round2(ref.orig_new),
-                "ours_new": ours_new,
-                "delta_new": ours_new - round2(ref.orig_new),
-                "gap": round2(summary.gaps[i]),
-            }
+    expected = tuple(ref.name for ref in REFERENCE_FIXTURE)
+    if summary.names != expected:
+        raise ContractError(
+            f"the comparison needs the reference datasets {expected}, got {summary.names}"
         )
-    orig = summarize(
-        [
-            ReferenceRow(r.name, r.orig_base, r.orig_base, r.orig_new, r.orig_new)
-            for r in fixture
-            if r.name in set(summary.names)
-        ]
+    rows = tuple(
+        {
+            "name": ref.name,
+            **_versus("base", ref.orig_base, base),
+            **_versus("new", ref.orig_new, new),
+            "gap": round2(gap),
+        }
+        for ref, base, new, gap in zip(REFERENCE_FIXTURE, summary.base, summary.new, summary.gaps)
     )
-    orig_gap = ORIG_AVERAGE_GAP if len(summary.names) == len(fixture) else orig.gap_avg
+    orig = summarize((ref.name, ref.orig_base, ref.orig_new) for ref in REFERENCE_FIXTURE)
     overall = {
-        "orig_base": round2(orig.base_avg),
-        "ours_base": round2(summary.base_avg),
-        "orig_new": round2(orig.new_avg),
-        "ours_new": round2(summary.new_avg),
-        "orig_gap": round2(orig_gap),
-        "ours_gap": round2(summary.gap_avg),
+        **_versus("base", orig.base_avg, summary.base_avg),
+        **_versus("new", orig.new_avg, summary.new_avg),
+        **_versus("gap", ORIG_AVERAGE_GAP, summary.gap_avg),
     }
-    overall["delta_base"] = overall["ours_base"] - overall["orig_base"]
-    overall["delta_new"] = overall["ours_new"] - overall["orig_new"]
-    overall["delta_gap"] = overall["ours_gap"] - overall["orig_gap"]
-    return ComparisonTable(tuple(rows), overall)
+    return ComparisonTable(rows, overall)
 
 
-def fixture_results() -> list[ReferenceRow]:
-    """The reproduction side of the embedded reference, ready to summarize."""
-    return list(REFERENCE_FIXTURE)
+def fixture_results() -> list[tuple[str, Decimal, Decimal]]:
+    """The reproduction side of the embedded reference, as summarize rows."""
+    return [(ref.name, ref.ours_base, ref.ours_new) for ref in REFERENCE_FIXTURE]
 
 
-def summary_csv(summary: SummaryTable) -> str:
-    lines = ["dataset,base,new,gap"]
-    for i, name in enumerate(summary.names):
-        lines.append(
-            f"{name},{fmt2(summary.base[i])},{fmt2(summary.new[i])},"
-            f"{fmt2(summary.gaps[i], signed=True)}"
-        )
-    lines.append(
-        f"average,{fmt2(summary.base_avg)},{fmt2(summary.new_avg)},"
-        f"{fmt2(summary.gap_avg, signed=True)}"
-    )
+def _csv(columns, rows) -> str:
+    """Header plus one line per `(name, values)` row."""
+    lines = [",".join(("dataset", *columns))]
+    lines += [",".join((name, *_cells(values, columns))) for name, values in rows]
     return "\n".join(lines) + "\n"
 
 
+def _summary_rows(summary: SummaryTable) -> tuple[list[tuple[str, dict]], dict]:
+    """Per-dataset `(name, values)` rows, and the average's values."""
+    rows = [
+        (name, {"base": b, "new": n, "gap": g})
+        for name, b, n, g in zip(summary.names, summary.base, summary.new, summary.gaps)
+    ]
+    average = {"base": summary.base_avg, "new": summary.new_avg, "gap": summary.gap_avg}
+    return rows, average
+
+
+def _json_entry(values: dict) -> dict:
+    """Raw float values plus their display strings."""
+    return {
+        **{c: float(values[c]) for c in COLUMNS},
+        "display": dict(zip(COLUMNS, _cells(values, COLUMNS))),
+    }
+
+
+def summary_csv(summary: SummaryTable) -> str:
+    rows, average = _summary_rows(summary)
+    return _csv(COLUMNS, rows + [("average", average)])
+
+
 def summary_json(summary: SummaryTable) -> str:
+    rows, average = _summary_rows(summary)
     payload = {
-        "datasets": [
-            {
-                "name": name,
-                "base": float(summary.base[i]),
-                "new": float(summary.new[i]),
-                "gap": float(summary.gaps[i]),
-                "display": {
-                    "base": fmt2(summary.base[i]),
-                    "new": fmt2(summary.new[i]),
-                    "gap": fmt2(summary.gaps[i], signed=True),
-                },
-            }
-            for i, name in enumerate(summary.names)
-        ],
-        "average": {
-            "base": float(summary.base_avg),
-            "new": float(summary.new_avg),
-            "gap": float(summary.gap_avg),
-            "display": {
-                "base": fmt2(summary.base_avg),
-                "new": fmt2(summary.new_avg),
-                "gap": fmt2(summary.gap_avg, signed=True),
-            },
-        },
+        "datasets": [{"name": name, **_json_entry(values)} for name, values in rows],
+        "average": _json_entry(average),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def comparison_csv(table: ComparisonTable) -> str:
-    lines = ["dataset,orig_base,ours_base,delta_base,orig_new,ours_new,delta_new,gap"]
-    for row in table.rows:
-        lines.append(
-            f"{row['name']},{fmt2(row['orig_base'])},{fmt2(row['ours_base'])},"
-            f"{fmt2(row['delta_base'], signed=True)},{fmt2(row['orig_new'])},"
-            f"{fmt2(row['ours_new'])},{fmt2(row['delta_new'], signed=True)},"
-            f"{fmt2(row['gap'], signed=True)}"
-        )
-    o = table.overall
-    lines.append(
-        f"average,{fmt2(o['orig_base'])},{fmt2(o['ours_base'])},"
-        f"{fmt2(o['delta_base'], signed=True)},{fmt2(o['orig_new'])},"
-        f"{fmt2(o['ours_new'])},{fmt2(o['delta_new'], signed=True)},"
-        f"{fmt2(o['ours_gap'], signed=True)}"
-    )
-    return "\n".join(lines) + "\n"
+    columns = ("orig_base", "ours_base", "delta_base", "orig_new", "ours_new", "delta_new", "gap")
+    average = {**table.overall, "gap": table.overall["ours_gap"]}
+    rows = [(row["name"], row) for row in table.rows] + [("average", average)]
+    return _csv(columns, rows)
 
 
 def overall_text(table: ComparisonTable) -> str:
     """Three-line overall comparison in the reference layout."""
-    o = table.overall
-    lines = [
-        f"{'':10s} {'base':>8s} {'new':>8s} {'gap':>8s}",
-        f"{'original':10s} {fmt2(o['orig_base']):>8s} {fmt2(o['orig_new']):>8s} "
-        f"{fmt2(o['orig_gap'], signed=True):>8s}",
-        f"{'ours':10s} {fmt2(o['ours_base']):>8s} {fmt2(o['ours_new']):>8s} "
-        f"{fmt2(o['ours_gap'], signed=True):>8s}",
-        f"{'delta':10s} {fmt2(o['delta_base'], signed=True):>8s} "
-        f"{fmt2(o['delta_new'], signed=True):>8s} {fmt2(o['delta_gap'], signed=True):>8s}",
-    ]
+    lines = [f"{'':10s}" + "".join(f" {c:>8s}" for c in COLUMNS)]
+    for label, prefix in (("original", "orig"), ("ours", "ours"), ("delta", "delta")):
+        cells = _cells(table.overall, [f"{prefix}_{c}" for c in COLUMNS])
+        lines.append(f"{label:10s}" + "".join(f" {cell:>8s}" for cell in cells))
     return "\n".join(lines) + "\n"
 
 
-def eval_result_json(result: EvalResult, baseline: EvalResult | None = None) -> str:
+def eval_result_json(result: EvalResult, baseline: EvalResult) -> str:
+    """The trained scores with display strings, beside the zero-context baseline."""
     payload = {
         "dataset": result.dataset_name,
-        "base": result.base_acc,
-        "new": result.new_acc,
-        "gap": result.gap,
-        "display": {
-            "base": fmt2(result.base_acc),
-            "new": fmt2(result.new_acc),
-            "gap": fmt2(result.gap, signed=True),
-        },
-    }
-    if baseline is not None:
-        payload["zero_context_baseline"] = {
+        **_json_entry({"base": result.base_acc, "new": result.new_acc, "gap": result.gap}),
+        "zero_context_baseline": {
             "base": baseline.base_acc,
             "new": baseline.new_acc,
             "gap": baseline.gap,
-        }
+        },
+    }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

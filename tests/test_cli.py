@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -56,6 +57,21 @@ def _train(tmp_path, tiny_cfg, *extra):
     return ckpt, log
 
 
+# every path option, with whatever else the command would need to start
+# work if the empty path got through
+EMPTY_PATH_CASES = [
+    ("report", "--out-dir", []),
+    ("report", "--config", []),
+    ("eval", "--out", ["--checkpoint", "model.ftpg"]),
+    ("eval", "--checkpoint", []),
+    ("eval", "--world", ["--checkpoint", "model.ftpg"]),
+    ("train", "--checkpoint", ["--set", "federation.rounds=1"]),
+    ("train", "--log", ["--set", "federation.rounds=1"]),
+    ("train", "--world", ["--set", "federation.rounds=1"]),
+    ("make-world", "--out", []),
+]
+
+
 class TestDispatch:
     def test_no_arguments_prints_usage_and_fails(self, capsys):
         assert main([]) == 1
@@ -87,6 +103,27 @@ class TestDispatch:
         assert done.returncode == 0
         assert "make-world" in done.stdout
         assert "RuntimeWarning" not in done.stderr
+
+    @pytest.mark.parametrize("command, flag, extra", EMPTY_PATH_CASES,
+                             ids=[f"{c} {f}" for c, f, _ in EMPTY_PATH_CASES])
+    def test_empty_path_option_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, flag, extra
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, flag, "", *extra]) == 1
+        assert f"argument {flag}: an empty path is not allowed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestReadme:
+    def test_layout_lists_every_module(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        layout = readme.split("\n## Layout\n", 1)[1].split("```")[1]
+        listed = re.findall(r"^  (\S+\.py) ", layout, flags=re.M)
+        assert len(listed) == len(set(listed)), "README lists a module twice"
+        modules = {p.name for p in (root / "src" / "fedprompt").glob("*.py")} - {"__init__.py"}
+        assert set(listed) == modules
 
 
 class TestMakeWorld:
@@ -365,6 +402,32 @@ class TestReport:
             assert (
                 open(f"{a}/{name}", "rb").read() == open(f"{b}/{name}", "rb").read()
             ), name
+
+    def test_report_bytes_are_pinned(self, tmp_path, capsys):
+        # the report is derived from embedded constants only, so its bytes
+        # are fixed; a refactor that changes any of them fails here
+        out_dir = str(tmp_path / "rep")
+        assert main(["report", "--out-dir", out_dir]) == 0
+        assert capsys.readouterr().out == (
+            "               base      new      gap\n"
+            "original      74.47    76.23    +1.76\n"
+            "ours          74.58    76.00    +1.43\n"
+            "delta         +0.11    -0.23    -0.33\n"
+            "\n"
+            f"wrote 5 files to {out_dir}\n"
+        )
+        pinned = {
+            "comparison.csv": "4a4141148d3f137d2fb7e3714e542e8c430cceb1ce2264b468c091e207871c7d",
+            "summary.csv": "a4cc2fb8a2c42b7fb5291cffc952a73ec65d210cb2db77828b738ca0de7862db",
+            "summary.json": "723de7d9e0bb1ca07bbaccc5b684e0b3a225884cdc9c20b00fac2630b59aa9a4",
+            "error_rates.svg": "06a11d880e4a8264642053bbe634a32377c495bcc21ddfce7f862fef356b3788",
+            "gaps.svg": "83a98136eb795505bc7366c4c1c06989f7574ea608773568cfec048ef75c1ff4",
+        }
+        got = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (tmp_path / "rep").iterdir()
+        }
+        assert got == pinned
 
     def test_report_dir_from_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
