@@ -19,8 +19,8 @@ between nodes, between a gradient and the rule output it came from, and
 between a Parameter and its copies, without ever being copied.
 Finiteness is checked where state and results leave the graph, raising
 NumericError: Parameter values (init, load, fedavg, every SGD step), the
-cross_entropy loss, the analytic gradients in grad_check, and
-federation.class_text_features.
+cross_entropy loss, the analytic gradients in grad_check, and the row
+norms in world.text_feature.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ Parameter values are read-only arrays, so a client's start shares the
 global arrays instead of copying them; each SGD step computes every
 tensor's new value in one new array, and the average is built tensor by
 tensor in place, so a round makes no full-size pass over the parameters
-that its float operations do not need.
+that its float operations do not need.  A client also allocates and keeps
+only what its steps and the average read: its momentum velocity starts
+as its first step rather than as zeros, and each step drops the gradient
+it applied, so a finished client holds one value set and nothing else.
 
 Everything here is deterministic: client selection, batch shuffling and
 the aggregation order are all fixed functions of the master seed, and
@@ -80,19 +83,35 @@ def sgd_step(
 
     The decay term joins the gradient before the momentum update:
     v <- momentum * v + (grad + weight_decay * theta), theta <- theta - lr * v.
-    The caller's velocity arrays are updated in place.  Each tensor's new
-    value is computed into one fresh array that its Parameter then adopts
-    without a copy, finite-checked and frozen.  Raises if any parameter is
-    missing its gradient.
+    The caller's velocity arrays are updated in place.  A tensor missing
+    from velocity has zero velocity: its step array, weight_decay * theta
+    + grad, becomes its velocity as it is, so no zeros are allocated,
+    scaled or added to.  That keeps every value bitwise: 0 * momentum + s
+    differs from s only where s is -0.0, and theta - lr * v then differs
+    only where theta is -0.0 too, which no value is (init values are +0.0
+    or Gaussian, and a sum or difference is -0.0 only from a -0.0
+    operand); the velocity itself may differ in the sign of a zero.
+
+    Each gradient is dropped (p.grad becomes None) as soon as it has
+    joined the step array, so stepped parameters hold their values and
+    nothing else, and the new value can take the gradient's memory.  That
+    new value is computed into one fresh array that the Parameter adopts
+    without a copy, finite-checked and frozen.  Raises if any parameter
+    is missing its gradient.
     """
     for name, p in params.items():
         if p.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient; run backward first")
-        v = velocity[name]
         step = np.multiply(p.value, cfg.weight_decay, out=np.empty_like(p.value))
         step += p.grad
-        v *= cfg.momentum
-        v += step
+        p.grad = None
+        v = velocity.get(name)
+        if v is None:
+            velocity[name] = v = step
+            step = np.empty_like(v)
+        else:
+            v *= cfg.momentum
+            v += step
         np.multiply(v, lr, out=step)
         np.subtract(p.value, step, out=step)
         p.set_value(step, copy=False)
@@ -118,22 +137,20 @@ def class_text_features(
     translator pass gives every class its context, one head pass every
     feature.  With params None the context is all zeros, which reduces
     every feature to the raw class-name embedding: the zero-context
-    baseline.  Raises NumericError if any feature is not finite.
+    baseline.  Raises NumericError (from text_feature, whose norms see
+    every overflow on the way) if any feature would not be finite.
     """
     ids = list(class_ids)
     if min(ids, default=0) < 0:
         raise IndexError(f"class id {min(ids)} out of range")
     emb = world.class_embeddings[ids]
-    # an overflow shows up as non-finite features, reported below
+    # an overflow is reported by text_feature's norm check
     with np.errstate(all="ignore"):
         if params is None:
             ctx = ag.constant(np.zeros((len(emb) * trans_cfg.n_ctx, trans_cfg.d_model)))
         else:
             ctx = translate_one(params, trans_cfg, ag.constant(emb))
-        feats = text_feature(world.head, emb, ctx)
-    if not np.isfinite(feats.value).all():
-        raise NumericError("class text features have non-finite values")
-    return feats
+        return text_feature(world.head, emb, ctx)
 
 
 def class_logits(
@@ -165,13 +182,17 @@ def local_update(
     The client steps its own Parameters (ParameterSet.copy), which share
     the global values until the first step replaces them, so global_params
     and their grads are never touched.  The velocity starts at zero each
-    call and batches are drawn from a seeded shuffle per epoch.  Returns
-    the client's parameters together with the mean per-batch loss.
+    call, as an empty dict that the first sgd_step fills, and batches are
+    drawn from a seeded shuffle per epoch.  Returns the client's
+    parameters together with the mean per-batch loss; since each step
+    drops the gradient it applied, those parameters hold values only, and
+    a round that keeps every client's update until fedavg keeps one value
+    set per client.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be positive, got {epochs}")
     params = global_params.copy()
-    velocity = {name: np.zeros(p.shape) for name, p in params.items()}
+    velocity = {}
     losses = []
     # overflow surfaces as a NumericError from the features, the loss or
     # the updated parameters, so numpy's own warnings add nothing

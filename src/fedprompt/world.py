@@ -22,7 +22,7 @@ import numpy as np
 
 from fedprompt import autograd as ag
 from fedprompt.autograd import DiffNode
-from fedprompt.errors import ConfigError, DimensionError
+from fedprompt.errors import ConfigError, DimensionError, NumericError
 from fedprompt.seeding import rng_for
 
 L2_NORM_EPS = 1e-8
@@ -156,6 +156,12 @@ def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> 
     (rows with norm below 1e-8 are divided by that epsilon instead).
     Returns one graph node whose backward rule gives the gradient of
     ctx, its only parent.
+
+    Raises NumericError if any row norm is not finite.  A finite row can
+    still overflow its squared norm (|x| beyond about 1e154), and dividing
+    by that infinite norm would silently zero the feature, leaving every
+    logit equal instead of reporting the diverged model.  The caller
+    decides whether numpy warns about the overflow on the way.
     """
     k, d = class_emb.shape
     if ctx.shape[-1] != d:
@@ -167,6 +173,8 @@ def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> 
     cdf = ag.gelu_cdf(z)
     x = class_emb + (z * cdf) @ head.W2
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    if not np.isfinite(norms).all():
+        raise NumericError("text feature norms are not finite")
     denom = np.maximum(norms, L2_NORM_EPS)
     y = x / denom
 

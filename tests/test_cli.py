@@ -274,6 +274,16 @@ class TestTrain:
         assert "RuntimeWarning" not in done.stderr
         assert re.search(r"error: round \d+, client \d+: ", done.stderr), done.stderr
 
+    def test_saturating_training_names_round_and_client(self, tmp_path, tiny_cfg):
+        # the tiny model stays finite at this rate but its head output
+        # outgrows the squared norm in round 1; a zeroed feature would
+        # log ln 3 and exit 0
+        done = _fedprompt(tmp_path, "train", "--config", tiny_cfg,
+                          "--set", "optimizer.lr0=1e150")
+        assert done.returncode == 1
+        assert "RuntimeWarning" not in done.stderr
+        assert re.search(r"error: round \d+, client \d+: ", done.stderr), done.stderr
+
     def test_echo_reproduces_config(self, tmp_path, tiny_cfg):
         from fedprompt.config import build_config, parse_config_text
 

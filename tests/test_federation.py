@@ -1,6 +1,7 @@
 """Tests for the optimizer, aggregation, and the federated loop."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from fedprompt.autograd import Parameter, ParameterSet, backward
 from fedprompt import autograd as ag
+from fedprompt import federation
 from fedprompt.diagnostics import (
     GRADCHECK_HEAD_SCALE,
     GRADCHECK_RAND_STD,
@@ -406,6 +408,34 @@ class TestParameterPathAgainstReference:
         assert all(vel_ours[name] is held[name] for name in held)
         assert not any(p.value.flags.writeable for p in ours)
 
+    def test_first_step_velocity_matches_reference(self):
+        # an empty velocity dict is zero velocity: the first step's array
+        # becomes the velocity, and later steps update it in place
+        cfg = OptimizerConfig(momentum=0.9, weight_decay=1e-2)
+        ours, theirs = self.random_set(0), self.random_set(0)
+        vel_ours = {}
+        vel_ref = {name: np.zeros(p.shape) for name, p in ours.items()}
+        held = None
+        rng = np.random.default_rng(1)
+        for lr in (0.1, 0.0, 0.07, 0.03, 0.011):
+            arrays = [p.value for p in ours]
+            for name in ours.names():
+                g = rng.standard_normal(ours[name].shape)
+                ours[name].grad, theirs[name].grad = g, g.copy()
+                arrays.append(g)
+            sgd_step(ours, vel_ours, lr, cfg)
+            ref.sgd_step(theirs, vel_ref, lr, cfg)
+            assert value_bytes(ours) == value_bytes(theirs)
+            assert vel_ours.keys() == vel_ref.keys()
+            assert all(np.array_equal(vel_ours[n], vel_ref[n]) for n in vel_ref)
+            assert all(p.grad is None for p in ours)
+            if held is None:
+                held = dict(vel_ours)
+                arrays += [p.value for p in ours]
+                for name, v in held.items():
+                    assert not any(np.shares_memory(v, a) for a in arrays), name
+            assert all(vel_ours[name] is held[name] for name in held)
+
     def test_fedavg_matches_reference(self):
         updates = [ClientUpdate(cid, self.random_set(10 + cid), 0.0) for cid in (4, 0, 3, 1, 2)]
         ours = fedavg(updates)
@@ -472,6 +502,34 @@ class TestRunTraining:
         assert payload == {
             "round": 3, "lr": 0.0015, "selected": [0, 2], "client_loss": {"0": 1.5, "2": 0.25},
         }
+
+    def test_round_holds_one_value_set_per_client(self, monkeypatch):
+        # until fedavg a round keeps each client's values, the global set,
+        # the mean and one client's working state; a gradient or a
+        # zero-filled velocity kept per client would double the peak
+        wide = build_world(WorldConfig(d=64, n_base=40, seed=3))
+        tcfg = TranslatorConfig(d_model=64)
+        blocks = partition_classes(wide.cfg.n_base, 16, 2, 3)
+        datasets = {cid: build_client_dataset(wide, block, 2, 3, cid)
+                    for cid, block in enumerate(blocks)}
+        params = init_translator_params(tcfg, 3)
+        grads_kept = []
+
+        def checked_local_update(*args):
+            update = local_update(*args)
+            grads_kept.append(sum(p.grad is not None for p in update.params))
+            return update
+
+        monkeypatch.setattr(federation, "local_update", checked_local_update)
+        tracemalloc.start()
+        try:
+            run_training(wide, datasets, OptimizerConfig(), tcfg, params, 1, 1, 1.0, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        set_bytes = params.n_scalars() * 8
+        assert peak < (len(datasets) + 4) * set_bytes, peak / set_bytes
+        assert grads_kept == [0] * len(datasets)
 
     def test_bad_dataset_keys_rejected(self, world):
         datasets, params = small_setup(world)

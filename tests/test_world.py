@@ -5,7 +5,7 @@ import pytest
 
 from fedprompt import autograd as ag
 from fedprompt.autograd import Parameter, ParameterSet, grad_check
-from fedprompt.errors import ConfigError, DimensionError
+from fedprompt.errors import ConfigError, DimensionError, NumericError
 from fedprompt.seeding import rng_for
 from fedprompt.world import (
     WorldConfig,
@@ -190,6 +190,18 @@ class TestTextFeature:
                 world.head, emb_rows(world, [class_id]), ag.constant(ctx[4 * i : 4 * i + 4])
             ).value
             assert np.max(np.abs(batched[i] - one[0])) < 1e-12
+
+    def test_overflowing_squared_norm_raises(self, world):
+        # a finite head output beyond about 1e154 overflows sum(x * x), and
+        # dividing by that infinite norm would zero every feature
+        ctx = np.random.default_rng(8).standard_normal((2 * 4, CFG.d)) * 1e160
+        emb = emb_rows(world, [3, 11])
+        with np.errstate(over="ignore"):
+            z = ctx.reshape(2, 4, CFG.d).mean(axis=1) @ world.head.W1
+            x = emb + (z * ag.gelu_cdf(z)) @ world.head.W2
+            assert np.isfinite(x).all() and np.isinf((x * x).sum(axis=1)).all()
+            with pytest.raises(NumericError, match="norm"):
+                text_feature(world.head, emb, ag.constant(ctx))
 
     def test_gradient_reaches_context(self, world):
         ctx = Parameter("ctx", np.random.default_rng(5).standard_normal((8, CFG.d)) * 0.1)
