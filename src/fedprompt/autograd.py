@@ -6,21 +6,24 @@ gradients.  backward() walks the graph once in reverse topological order
 and overwrites .grad on every node it visits, so calling it twice on the
 same graph gives identical results.
 
-The generic op set is deliberately small and strict: constant, scale,
-matmul, transpose and cross_entropy, on 2-D matrices except the scalar
-loss, with no broadcasting and no in-place mutation of node values.
-Larger blocks of the model are single nodes with hand-written backward
-rules built on the same DiffNode (translator.translate_one and
-world.text_feature); both take their exact GELU from gelu_cdf and
-gelu_slope here, so the backward pass reuses the forward's erf.  All
-math is float64 on plain, read-only ndarrays: node values and the
+The only generic op is cross_entropy, the loss at the root.  The blocks
+of the model are single nodes with hand-written backward rules built on
+the same DiffNode: translator.translate_one, world.text_feature and
+federation.class_logits.  The first two take their exact GELU from
+gelu_cdf and gelu_slope here, so the backward pass reuses the forward's
+erf.  Every op works on any leading axes: a 2-D matrix is one client's,
+and a leading axis stacks clients that share nothing but the code, so a
+round's clients can take each step as one graph.
+
+All math is float64 on plain, read-only ndarrays: node values and the
 gradients backward() stores are frozen, so an array may be shared
 between nodes, between a gradient and the rule output it came from, and
-between a Parameter and its copies, without ever being copied.
+between a Parameter and its copies or stacks, without ever being copied.
 Finiteness is checked where state and results leave the graph, raising
-NumericError: Parameter values (init, load, fedavg, every SGD step), the
-cross_entropy loss, the analytic gradients in grad_check, and the row
-norms in world.text_feature.
+NumericError that names the first failing position along the leading
+axis, for a stack the client: Parameter values (init, load, fedavg,
+every SGD step), the cross_entropy loss of each client, the analytic
+gradients in grad_check, and the row norms in world.text_feature.
 """
 
 from __future__ import annotations
@@ -36,10 +39,22 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def require_finite(arr: np.ndarray, message: str) -> None:
+    """Raise NumericError(message) unless every entry of arr is finite.
+
+    The error's index is the lowest position along arr's leading axis that
+    holds a non-finite entry (None for a 0-d arr): for a stacked value,
+    the first failing client.
+    """
+    finite = np.isfinite(arr)
+    if not finite.all():
+        index = int(np.argmin(finite.reshape(len(arr), -1).all(axis=1))) if arr.ndim else None
+        raise NumericError(message, index)
+
+
 def _checked(name: str, value, copy: bool) -> np.ndarray:
     arr = np.array(value, dtype=np.float64, order="C", copy=True if copy else None)
-    if not np.isfinite(arr).all():
-        raise NumericError(f"parameter {name!r} has non-finite values")
+    require_finite(arr, f"parameter {name!r} has non-finite values")
     arr.setflags(write=False)
     return arr
 
@@ -98,12 +113,13 @@ class Parameter(DiffNode):
         existing grad is kept as-is."""
         self.value = _checked(self.name, value, copy)
 
-    def twin(self) -> "Parameter":
-        """A new leaf of the same name over the same frozen value, with no
-        grad; the value is already finite, so it is neither copied nor
-        checked again."""
+    def twin(self, view: np.ndarray | None = None) -> "Parameter":
+        """A new leaf of the same name, with no grad, over the same frozen
+        value or over a view of it (a broadcast stack, or one client's row
+        of a stack).  The value is already finite, so it is neither copied
+        nor checked again."""
         twin = Parameter.__new__(Parameter)
-        DiffNode.__init__(twin, self.value, op="param")
+        DiffNode.__init__(twin, self.value if view is None else view, op="param")
         twin.name = self.name
         return twin
 
@@ -165,48 +181,21 @@ class ParameterSet:
         never shows in the other."""
         return ParameterSet([p.twin() for p in self])
 
-    def check_same_schema(self, other: "ParameterSet", label: str = "parameter set") -> None:
-        if self.schema() != other.schema():
-            raise SchemaError(f"{label} schema mismatch: {self.schema()} vs {other.schema()}")
+    def stacked(self, n: int) -> "ParameterSet":
+        """New Parameters over [n, *shape] read-only broadcasts of these
+        values: a stack of n identical clients that copies nothing."""
+        return ParameterSet([p.twin(np.broadcast_to(p.value, (n, *p.shape))) for p in self])
+
+    def row(self, i: int) -> "ParameterSet":
+        """New Parameters over row i of each stacked value: one client's
+        set, as views into the stack."""
+        return ParameterSet([p.twin(p.value[i]) for p in self])
 
 
 def constant(value) -> DiffNode:
     """Leaf node for data that needs no gradient of its own; it holds a
     read-only view, and the caller's array stays writable."""
     return DiffNode(np.asarray(value, dtype=np.float64).view(), op="const")
-
-
-def _as_node(x) -> DiffNode:
-    return x if isinstance(x, DiffNode) else constant(x)
-
-
-def _need_2d(x: DiffNode, op: str) -> None:
-    if x.value.ndim != 2:
-        raise DimensionError(f"{op} needs a 2-D operand, got shape {x.shape}")
-
-
-def scale(a: DiffNode, s: float) -> DiffNode:
-    a = _as_node(a)
-    s = float(s)
-    return DiffNode(a.value * s, (a,), lambda g: (g * s,), op="scale")
-
-
-def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
-    a, b = _as_node(a), _as_node(b)
-    _need_2d(a, "matmul")
-    _need_2d(b, "matmul")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    av, bv = a.value, b.value
-    return DiffNode(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g), op="matmul")
-
-
-def transpose(a: DiffNode) -> DiffNode:
-    a = _as_node(a)
-    _need_2d(a, "transpose")
-    # a C-order copy, not the strided view: BLAS rounds a matmul with a
-    # transposed operand differently, which would move trained results
-    return DiffNode(np.ascontiguousarray(a.value.T), (a,), lambda g: (g.T,), op="transpose")
 
 
 def gelu_cdf(x: np.ndarray) -> np.ndarray:
@@ -220,35 +209,55 @@ def gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
-def cross_entropy(logits: DiffNode, labels) -> DiffNode:
-    """Mean negative log-likelihood of the given class labels.
+class Loss(DiffNode):
+    """Scalar root over stacked clients: the sum of their mean losses,
+    which it keeps, read-only, as means."""
 
-    logits is [batch, classes]; labels is a sequence of ints in range.
-    Returns a scalar node.
+    __slots__ = ("means",)
+
+
+def cross_entropy(logits: DiffNode, labels) -> Loss:
+    """Mean negative log-likelihood of the given class labels, per client.
+
+    logits is [..., batch, classes] and labels the matching [..., batch]
+    ints in range: a 2-D logits matrix is one client's, a leading axis
+    stacks clients.  Returns a scalar node whose value is the sum of the
+    client means, so every client's mean gets gradient one and the
+    clients' gradients never mix; .means holds the means, shaped like
+    the leading axes.
     """
-    logits = _as_node(logits)
-    _need_2d(logits, "cross_entropy")
-    n, k = logits.shape
-    lab = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if lab.shape[0] != n:
-        raise DimensionError(f"cross_entropy got {lab.shape[0]} labels for {n} rows")
+    xv = logits.value
+    if xv.ndim < 2:
+        raise DimensionError(f"cross_entropy needs [..., batch, classes] logits, got {xv.shape}")
+    n, k = xv.shape[-2:]
+    lab = np.asarray(labels, dtype=np.int64)
+    if lab.shape != xv.shape[:-1]:
+        raise DimensionError(f"cross_entropy got labels {lab.shape} for logits {xv.shape}")
     if lab.size and (lab.min() < 0 or lab.max() >= k):
         raise IndexError(f"label out of range for {k} classes")
-    xv = logits.value
-    z = xv - xv.max(axis=1, keepdims=True)
+    # every row's label entry, through the rows of the [-1, classes] view
+    picks = (np.arange(lab.size), lab.reshape(-1))
+    z = xv - xv.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    sums = e.sum(axis=1, keepdims=True)
+    sums = e.sum(axis=-1, keepdims=True)
     logp = z - np.log(sums)
-    value = np.asarray(-logp[np.arange(n), lab].mean())
+    means = np.asarray(-logp.reshape(-1, k)[picks].reshape(lab.shape).mean(axis=-1))
+    value = np.asarray(means.sum()) if means.ndim else means
+    # every mean is non-negative, so their sum is finite exactly when each
+    # mean is, unless finite means overflow the sum
     if not np.isfinite(value):
-        raise NumericError(f"cross_entropy loss is not finite: {float(value)}")
+        require_finite(means, "cross_entropy loss is not finite")
+        raise NumericError("cross_entropy loss summed over clients is not finite")
 
     def rule(g):
         p = e / sums
-        p[np.arange(n), lab] -= 1.0
+        p.reshape(-1, k)[picks] -= 1.0
         return (float(g) * p / n,)
 
-    return DiffNode(value, (logits,), rule, op="cross_entropy")
+    loss = Loss(value, (logits,), rule, op="cross_entropy")
+    means.setflags(write=False)
+    loss.means = means
+    return loss
 
 
 def _toposort(root: DiffNode) -> list[DiffNode]:
@@ -324,8 +333,7 @@ def grad_check(
     analytic = {name: p.grad if p.grad is not None else np.zeros(p.shape)
                 for name, p in params.items()}
     for name, g in analytic.items():
-        if not np.isfinite(g).all():
-            raise NumericError(f"gradient of {name!r} has non-finite values")
+        require_finite(g, f"gradient of {name!r} has non-finite values")
     worst = 0.0
     for name, p in params.items():
         base = p.value.copy()

@@ -24,7 +24,15 @@ class CapacityError(ContractError):
 
 
 class NumericError(ContractError):
-    """A tensor value is NaN or infinite where finite values are required."""
+    """A tensor value is NaN or infinite where finite values are required.
+
+    For a stacked value, whose leading axis holds one client each, index
+    is the lowest position along that axis with a non-finite entry.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class SchemaError(ContractError):

@@ -92,17 +92,22 @@ def sgd_step(
     or Gaussian, and a sum or difference is -0.0 only from a -0.0
     operand); the velocity itself may differ in the sign of a zero.
 
-    Each gradient is dropped (p.grad becomes None) as soon as it has
-    joined the step array, so stepped parameters hold their values and
-    nothing else, and the new value can take the gradient's memory.  That
-    new value is computed into one fresh array that the Parameter adopts
-    without a copy, finite-checked and frozen.  Raises if any parameter
-    is missing its gradient.
+    Every operation is elementwise, so stacked parameters ([C, *shape],
+    possibly a broadcast of one value set) step each client's slice
+    exactly as that client alone.  Each gradient is dropped (p.grad
+    becomes None) as soon as it has joined the step array, so stepped
+    parameters hold their values and nothing else, and the new value can
+    take the gradient's memory.  That new value is computed into one
+    fresh array that the Parameter adopts without a copy, finite-checked
+    and frozen.  Every tensor is stepped before a non-finite value is
+    raised, so the NumericError's index is the lowest failing client over
+    the whole step.  Raises if any parameter is missing its gradient.
     """
+    failed = []
     for name, p in params.items():
         if p.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient; run backward first")
-        step = np.multiply(p.value, cfg.weight_decay, out=np.empty_like(p.value))
+        step = np.multiply(p.value, cfg.weight_decay, out=np.empty(p.shape))
         step += p.grad
         p.grad = None
         v = velocity.get(name)
@@ -114,7 +119,12 @@ def sgd_step(
             v += step
         np.multiply(v, lr, out=step)
         np.subtract(p.value, step, out=step)
-        p.set_value(step, copy=False)
+        try:
+            p.set_value(step, copy=False)
+        except NumericError as err:
+            failed.append(err)
+    if failed:
+        raise min(failed, key=lambda err: err.index or 0)
 
 
 @dataclass
@@ -130,24 +140,27 @@ def class_text_features(
     world: SyntheticWorld,
     class_ids,
 ) -> ag.DiffNode:
-    """Unit text features [len(class_ids), d], one row per class.
+    """Unit text features [..., k, d], one row per class.
 
     This is the one path from class id to text feature, used by training
-    and evaluation alike.  The whole class set runs as one graph: one
-    translator pass gives every class its context, one head pass every
-    feature.  With params None the context is all zeros, which reduces
-    every feature to the raw class-name embedding: the zero-context
-    baseline.  Raises NumericError (from text_feature, whose norms see
-    every overflow on the way) if any feature would not be finite.
+    and evaluation alike.  class_ids is one client's k ids, or [C, k]
+    ids of C clients whose parameters are stacked [C, *shape].  The whole
+    class set runs as one graph: one translator pass gives every class
+    its context, one head pass every feature.  With params None the
+    context is all zeros, which reduces every feature to the raw
+    class-name embedding: the zero-context baseline.  Raises NumericError
+    (from text_feature, whose norms see every overflow on the way) if
+    any feature would not be finite.
     """
-    ids = list(class_ids)
-    if min(ids, default=0) < 0:
-        raise IndexError(f"class id {min(ids)} out of range")
+    ids = np.asarray(class_ids, dtype=np.int64)
+    if ids.size and ids.min() < 0:
+        raise IndexError(f"class id {ids.min()} out of range")
     emb = world.class_embeddings[ids]
     # an overflow is reported by text_feature's norm check
     with np.errstate(all="ignore"):
         if params is None:
-            ctx = ag.constant(np.zeros((len(emb) * trans_cfg.n_ctx, trans_cfg.d_model)))
+            *lead, k, _ = emb.shape
+            ctx = ag.constant(np.zeros((*lead, k * trans_cfg.n_ctx, trans_cfg.d_model)))
         else:
             ctx = translate_one(params, trans_cfg, ag.constant(emb))
         return text_feature(world.head, emb, ctx)
@@ -161,59 +174,121 @@ def class_logits(
     images: np.ndarray,
     temperature: float,
 ) -> ag.DiffNode:
-    """Cosine-similarity logits of unit images against per-class features."""
-    feat_matrix = class_text_features(params, trans_cfg, world, class_ids)
-    return ag.scale(ag.matmul(ag.constant(images), ag.transpose(feat_matrix)), 1.0 / temperature)
+    """Cosine-similarity logits [..., b, k] of unit images [..., b, d]
+    against the per-class features, scaled by 1 / temperature.
+
+    One graph node over the features: images are data and get no
+    gradient.  The features are transposed into a C-order copy, not a
+    strided view, and each product runs the way a lone client's matrix
+    product and scaling did, because BLAS rounds a product with a
+    transposed operand differently.
+    """
+    feats = class_text_features(params, trans_cfg, world, class_ids)
+    s = 1.0 / temperature
+    images_t = images.swapaxes(-1, -2)
+    value = (images @ np.ascontiguousarray(feats.value.swapaxes(-1, -2))) * s
+
+    def rule(g):
+        return ((images_t @ (g * s)).swapaxes(-1, -2),)
+
+    return ag.DiffNode(value, (feats,), rule, op="logits")
+
+
+# A chunk of lockstep clients holds at most this many stacked parameter
+# scalars (4 MB per stacked value set); see client_chunks.  Measured on a
+# 2-core host: every default client fits one chunk, and two d=128
+# clients per chunk gave faster rounds than one or four at the same
+# peak memory.
+CHUNK_SCALARS = 2**19
+
+
+def client_chunks(
+    datasets: dict[int, FewShotSet], selected: list[int], n_scalars: int
+) -> list[list[int]]:
+    """The selected ids cut into runs that can step in lockstep.
+
+    A chunk is a run of consecutive ids whose datasets have equal class
+    counts and sizes, so every step of every client in it has the same
+    shapes, and it stacks at most CHUNK_SCALARS scalars of n_scalars per
+    client (always at least one client).
+    """
+    cap = max(1, CHUNK_SCALARS // max(n_scalars, 1))
+    chunks = []
+    for cid in selected:
+        shape = (len(datasets[cid].class_ids), len(datasets[cid]))
+        if chunks and len(chunks[-1][1]) < cap and chunks[-1][0] == shape:
+            chunks[-1][1].append(cid)
+        else:
+            chunks.append((shape, [cid]))
+    return [ids for _, ids in chunks]
 
 
 def local_update(
     global_params: ParameterSet,
     world: SyntheticWorld,
-    dataset: FewShotSet,
+    datasets: list[FewShotSet],
     opt_cfg: OptimizerConfig,
     trans_cfg: TranslatorConfig,
     epochs: int,
     lr: float,
-    rng: np.random.Generator,
-    client_id: int,
-) -> ClientUpdate:
-    """Local epochs of SGD starting from the global parameters.
+    rngs: list[np.random.Generator],
+    client_ids: list[int],
+) -> list[ClientUpdate]:
+    """Local epochs of SGD for a chunk of clients, in lockstep, each
+    starting from the global parameters.
 
-    The client steps its own Parameters (ParameterSet.copy), which share
-    the global values until the first step replaces them, so global_params
-    and their grads are never touched.  The velocity starts at zero each
-    call, as an empty dict that the first sgd_step fills, and batches are
-    drawn from a seeded shuffle per epoch.  Returns the client's
-    parameters together with the mean per-batch loss; since each step
-    drops the gradient it applied, those parameters hold values only, and
-    a round that keeps every client's update until fedavg keeps one value
-    set per client.
+    The clients' parameters are stacked [C, *shape] and start as a
+    broadcast of the global values, so nothing is copied and
+    global_params and their grads are never touched.  Every step is one
+    graph over all C clients; since no operation mixes clients, each
+    client's values and losses are bitwise those of the client stepped
+    alone.  The datasets must share their class count and size (see
+    client_chunks).  The velocity starts at zero each call, as an empty
+    dict that the first sgd_step fills, and each client draws its
+    batches from its own rng, one shuffle per epoch.  Returns one update
+    per client, in the given order, with the client's mean per-batch
+    loss; its parameters are read-only views of its row of the stack,
+    so a chunk holds one stacked value set once it is done.
+
+    A NumericError carries the position in the chunk of the lowest
+    client that failed at the first failing check.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be positive, got {epochs}")
-    params = global_params.copy()
+    if not len(datasets) == len(rngs) == len(client_ids):
+        raise ContractError("local_update needs one rng and one client id per dataset")
+    if len({(len(d.class_ids), len(d)) for d in datasets}) != 1:
+        raise ContractError("clients in lockstep need equal class counts and dataset sizes")
+    n_clients, n = len(datasets), len(datasets[0])
+    params = global_params.stacked(n_clients)
+    class_ids = [d.class_ids for d in datasets]
+    images = np.stack([d.images for d in datasets])
+    labels = np.stack([d.labels for d in datasets])
+    rows = np.arange(n_clients)[:, None]
     velocity = {}
-    losses = []
+    losses = [[] for _ in datasets]
     # overflow surfaces as a NumericError from the features, the loss or
     # the updated parameters, so numpy's own warnings add nothing
     with np.errstate(all="ignore"):
         for _ in range(epochs):
-            order = rng.permutation(len(dataset))
-            for start in range(0, len(order), opt_cfg.batch_size):
-                batch = order[start : start + opt_cfg.batch_size]
-                logits = class_logits(
-                    params,
-                    trans_cfg,
-                    world,
-                    dataset.class_ids,
-                    dataset.images[batch],
-                    opt_cfg.temperature,
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            for start in range(0, n, opt_cfg.batch_size):
+                batch = (rows, order[:, start : start + opt_cfg.batch_size])
+                loss = ag.cross_entropy(
+                    class_logits(params, trans_cfg, world, class_ids, images[batch],
+                                 opt_cfg.temperature),
+                    labels[batch],
                 )
-                loss = ag.cross_entropy(logits, dataset.labels[batch])
                 ag.backward(loss)
                 sgd_step(params, velocity, lr, opt_cfg)
-                losses.append(loss.value.item())
-    return ClientUpdate(client_id, params, float(np.mean(losses)))
+                for client_losses, mean in zip(losses, loss.means.tolist()):
+                    client_losses.append(mean)
+                # the graph holds every stacked activation: let it go now
+                del loss
+    return [
+        ClientUpdate(cid, params.row(i), float(np.mean(losses[i])))
+        for i, cid in enumerate(client_ids)
+    ]
 
 
 def select_clients(n_clients: int, fraction: float, seed: int, t: int) -> list[int]:
@@ -231,7 +306,28 @@ def select_clients(n_clients: int, fraction: float, seed: int, t: int) -> list[i
     return sorted(int(c) for c in picked)
 
 
-def fedavg(updates: list[ClientUpdate]) -> ParameterSet:
+class RunningMean:
+    """A round's FedAvg mean while clients are folded into it: the mean of
+    count clients, up to client last_id, as writable arrays by name.
+
+    params() hands the arrays over, frozen, as a new ParameterSet; after
+    that nothing more can be folded in.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.last_id = -1
+        self.first_id = -1
+        self.schema: tuple = ()
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def params(self) -> ParameterSet:
+        if not self.count:
+            raise ContractError("no client has been folded into the mean")
+        return ParameterSet([Parameter(name, m, copy=False) for name, m in self.arrays.items()])
+
+
+def fedavg(updates: list[ClientUpdate], running: RunningMean | None = None) -> ParameterSet | None:
     """Uniform coordinatewise mean of client parameters.
 
     Updates are re-sorted by client id before accumulation, so the
@@ -242,6 +338,12 @@ def fedavg(updates: list[ClientUpdate]) -> ParameterSet:
     number of bitwise-identical updates returns those values unchanged,
     because every increment is exactly zero.  The mean arrays become the
     new Parameters' values without a copy.
+
+    With running given, the updates are folded into it and nothing is
+    returned: a round passes its chunks of clients as they finish, each
+    with ids above every client folded before, and the final mean is
+    bitwise one fedavg over all of its updates, without the round ever
+    holding them all.
     """
     if not updates:
         raise ContractError("fedavg needs at least one update")
@@ -249,24 +351,28 @@ def fedavg(updates: list[ClientUpdate]) -> ParameterSet:
     ids = [u.client_id for u in ordered]
     if len(set(ids)) != len(ids):
         raise ContractError(f"duplicate client ids in aggregation: {ids}")
-    schema_owner = ordered[0].params
-    for u in ordered[1:]:
-        try:
-            schema_owner.check_same_schema(u.params)
-        except SchemaError as err:
+    mean = RunningMean() if running is None else running
+    if ids[0] <= mean.last_id:
+        raise ContractError(f"client {ids[0]} folded after client {mean.last_id}")
+    if not mean.count:
+        first = ordered.pop(0)
+        mean.arrays = {name: p.value.copy() for name, p in first.params.items()}
+        mean.schema, mean.first_id, mean.count = first.params.schema(), first.client_id, 1
+    for u in ordered:
+        if u.params.schema() != mean.schema:
             raise SchemaError(
-                f"clients {ordered[0].client_id} and {u.client_id} disagree: {err}"
-            ) from None
-    merged = []
-    for name, p in schema_owner.items():
-        mean = p.value.copy()
-        diff = np.empty_like(mean)
-        for i, u in enumerate(ordered[1:], start=2):
-            np.subtract(u.params[name].value, mean, out=diff)
+                f"clients {mean.first_id} and {u.client_id} disagree: "
+                f"{mean.schema} vs {u.params.schema()}"
+            )
+    for name, m in mean.arrays.items():
+        diff = np.empty_like(m)
+        for i, u in enumerate(ordered, start=mean.count + 1):
+            np.subtract(u.params[name].value, m, out=diff)
             diff /= i
-            mean += diff
-        merged.append(Parameter(name, mean, copy=False))
-    return ParameterSet(merged)
+            m += diff
+    mean.count += len(ordered)
+    mean.last_id = ids[-1]
+    return mean.params() if running is None else None
 
 
 @dataclass
@@ -305,11 +411,14 @@ def run_training(
     Per round t: the learning rate is cosine_lr(lr0, t, total_rounds),
     participants come from the (seed, "select", t) stream, and each
     participant's batch shuffling uses the (seed, "local", t, client)
-    stream.  A manual loop with the same derivations reproduces the run
-    bitwise.  on_round, if given, is called with (aggregated params,
-    RoundLog) after each aggregation; it must not mutate the params.  A
-    NumericError in a local update is raised again naming the round and
-    the client.
+    stream.  The participants step in lockstep chunks (client_chunks),
+    each folded into the round's mean as soon as it is done, in
+    ascending client id; a manual loop with the same derivations, over
+    chunks of any size, reproduces the run bitwise.  on_round, if given,
+    is called with (aggregated params, RoundLog) after each round; it
+    must not mutate the params.  A NumericError in a local update is
+    raised again naming the round and the lowest client that failed at
+    the first failing step.
     """
     if total_rounds < 1:
         raise ConfigError(f"total_rounds must be positive, got {total_rounds}")
@@ -321,25 +430,29 @@ def run_training(
     for t in range(total_rounds):
         lr = cosine_lr(opt_cfg.lr0, t, total_rounds)
         selected = select_clients(n_clients, fraction, seed, t)
-        updates = []
-        for client_id in selected:
+        mean, losses = RunningMean(), {}
+        for chunk in client_chunks(datasets, selected, params.n_scalars()):
             try:
-                update = local_update(
+                updates = local_update(
                     params,
                     world,
-                    datasets[client_id],
+                    [datasets[c] for c in chunk],
                     opt_cfg,
                     trans_cfg,
                     epochs_per_round,
                     lr,
-                    rng_for(seed, "local", t, client_id),
-                    client_id,
+                    [rng_for(seed, "local", t, c) for c in chunk],
+                    chunk,
                 )
             except NumericError as err:
-                raise NumericError(f"round {t}, client {client_id}: {err}") from None
-            updates.append(update)
-        params = fedavg(updates)
-        log = RoundLog(t, lr, selected, {u.client_id: u.mean_loss for u in updates})
+                client = chunk[err.index or 0]
+                raise NumericError(f"round {t}, client {client}: {err}") from None
+            fedavg(updates, mean)
+            losses.update((u.client_id, u.mean_loss) for u in updates)
+            # the chunk's stack is folded in: free it before the next chunk
+            del updates
+        params = mean.params()
+        log = RoundLog(t, lr, selected, losses)
         logs.append(log)
         if on_round is not None:
             on_round(params, log)

@@ -17,10 +17,12 @@ A whole class set runs as one graph node: k embedding rows give k
 contexts stacked as [k * n_ctx, d_model] rows, class by class.  The node
 works on a [k, n_ctx, d_model] view, adding each class's update row to
 the queries by broadcasting; every later step works row by row, so the
-classes never mix.  Its backward rule is written out by hand (layer
-norm, GEGLU and both residual paths) and returns the gradients of the
-embedding and of all seven parameters; the tests hold it against the
-same block composed from small autograd ops.
+classes never mix.  A leading client axis, [C, k, n_ctx, d_model] with
+every parameter stacked as [C, *shape], runs C clients' class sets
+through the same node without mixing them either.  Its backward rule
+is written out by hand (layer norm, GEGLU and both residual paths) and
+returns the gradients of the embedding and of all seven parameters; the
+tests hold it against the same block composed from small autograd ops.
 
 Parameter tensors have a fixed schema; see translator_schema().  The
 output projection and the second feed-forward matrix start at zero, which
@@ -103,60 +105,72 @@ def init_translator_params(cfg: TranslatorConfig, seed: int) -> ParameterSet:
 
 
 def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: DiffNode) -> DiffNode:
-    """Context vectors for k classes; emb is [k, d_model], the result is
-    [k * n_ctx, d_model] with class i in rows i * n_ctx to (i + 1) * n_ctx.
+    """Context vectors for k classes; emb is [..., k, d_model], the result
+    is [..., k * n_ctx, d_model] with class i in rows i * n_ctx to
+    (i + 1) * n_ctx.
 
-    One graph node whose parents are emb and the seven parameters, in
-    schema order; its backward rule returns all eight gradients.
+    A leading axis of emb stacks clients, and every parameter then holds
+    one value per client along the same axis, [..., *shape]; a 2-D emb
+    takes the plain parameters.  One graph node whose parents are emb and
+    the seven parameters, in schema order; its backward rule returns all
+    eight gradients.  Every product and sum runs within one client and
+    one class, so a stack computes each client's slice with the same
+    float operations, in the same order, as that client alone.
     """
-    if len(emb.shape) != 2 or emb.shape[0] < 1 or emb.shape[1] != cfg.d_model:
-        raise DimensionError(f"emb must be (k, {cfg.d_model}) with k >= 1, got {emb.shape}")
-    k, n, d, f = emb.shape[0], cfg.n_ctx, cfg.d_model, cfg.d_ffn
+    e = emb.value
+    if e.ndim < 2 or e.shape[-2] < 1 or e.shape[-1] != cfg.d_model:
+        raise DimensionError(f"emb must be (..., k, {cfg.d_model}) with k >= 1, got {e.shape}")
+    lead, k = e.shape[:-2], e.shape[-2]
+    n, d, f = cfg.n_ctx, cfg.d_model, cfg.d_ffn
     schema = translator_schema(cfg)
     tensors = tuple(params[name] for name, _ in schema)
-    if any(p.shape != shape for p, (_, shape) in zip(tensors, schema)):
-        raise DimensionError(f"translator parameters {params.schema()} do not match {cfg}")
+    if any(p.value.shape != lead + shape for p, (_, shape) in zip(tensors, schema)):
+        raise DimensionError(
+            f"translator parameters {params.schema()} do not match {cfg} over {lead}"
+        )
     q, w_v, w_o, gain, bias, ffn_in, ffn_out = (p.value for p in tensors)
-    e = emb.value
+
+    def tr(x):
+        return x.swapaxes(-1, -2)
 
     # the update row of each class, broadcast over that class's n_ctx queries
     vrow = e @ w_v
-    u = (q + (vrow @ w_o)[:, None, :]).reshape(k * n, d)
+    u = (q[..., None, :, :] + (vrow @ w_o)[..., :, None, :]).reshape(*lead, k * n, d)
     # pre-norm: population variance, epsilon inside the square root
-    uc = u - u.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt((uc * uc).mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
+    uc = u - u.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((uc * uc).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     y = uc * inv
-    u_in = y * gain + bias
+    u_in = y * gain[..., None, :] + bias[..., None, :]
     # GEGLU: the first f columns carry the value, the last f the gate
     h = u_in @ ffn_in
-    a, b = h[:, :f], h[:, f:]
+    a, b = h[..., :f], h[..., f:]
     cdf = ag.gelu_cdf(b)
     gate = b * cdf
     m = a * gate
     out = u + m @ ffn_out
 
     def rule(g):
-        g_m = g @ ffn_out.T
+        g_m = g @ tr(ffn_out)
         g_h = np.empty_like(h)
-        g_h[:, :f] = g_m * gate
-        g_h[:, f:] = g_m * a * ag.gelu_slope(b, cdf)
-        g_in = g_h @ ffn_in.T
-        gy = g_in * gain
-        s1 = gy.sum(axis=1, keepdims=True)
-        s2 = (gy * y).sum(axis=1, keepdims=True)
+        g_h[..., :f] = g_m * gate
+        g_h[..., f:] = g_m * a * ag.gelu_slope(b, cdf)
+        g_in = g_h @ tr(ffn_in)
+        gy = g_in * gain[..., None, :]
+        s1 = gy.sum(axis=-1, keepdims=True)
+        s2 = (gy * y).sum(axis=-1, keepdims=True)
         # the residual stream takes g directly and through the norm
-        g_u = (g + (inv / d) * (d * gy - s1 - y * s2)).reshape(k, n, d)
-        g_row = g_u.sum(axis=1)
-        g_vrow = g_row @ w_o.T
+        g_u = (g + (inv / d) * (d * gy - s1 - y * s2)).reshape(*lead, k, n, d)
+        g_row = g_u.sum(axis=-2)
+        g_vrow = g_row @ tr(w_o)
         return (
-            g_vrow @ w_v.T,
-            g_u.sum(axis=0),
-            e.T @ g_vrow,
-            vrow.T @ g_row,
-            (g_in * y).sum(axis=0),
-            g_in.sum(axis=0),
-            u_in.T @ g_h,
-            m.T @ g,
+            g_vrow @ tr(w_v),
+            g_u.sum(axis=-3),
+            tr(e) @ g_vrow,
+            tr(vrow) @ g_row,
+            (g_in * y).sum(axis=-2),
+            g_in.sum(axis=-2),
+            tr(u_in) @ g_h,
+            tr(m) @ g,
         )
 
     return DiffNode(out, (emb, *tensors), rule, op="translate")

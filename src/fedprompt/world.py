@@ -13,7 +13,8 @@ class embedding; that identity anchors several tests.  The head takes a
 whole class set at once: k embedding rows and their contexts stacked as
 [k * n_ctx, d] rows give k features from one graph node, which pools
 each class's rows as a [k, n_ctx, d] mean and carries a hand-written
-backward rule for the context gradient.
+backward rule for the context gradient.  A leading client axis runs
+several clients' class sets through the same node.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 
 from fedprompt import autograd as ag
 from fedprompt.autograd import DiffNode
-from fedprompt.errors import ConfigError, DimensionError, NumericError
+from fedprompt.errors import ConfigError, DimensionError
 from fedprompt.seeding import rng_for
 
 L2_NORM_EPS = 1e-8
@@ -147,45 +148,48 @@ def sample_image(
 
 
 def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> DiffNode:
-    """Classifier weights [k, d] for k classes given their prompt contexts.
+    """Classifier weights [..., k, d] for k classes given their prompt contexts.
 
     class_emb holds k class-name embedding rows; ctx stacks each class's
-    n_ctx context vectors, class by class, as [k * n_ctx, d].  Averages
-    each class's context rows, pushes the result through the frozen
-    head, adds it to the class-name embedding, and renormalizes each row
-    (rows with norm below 1e-8 are divided by that epsilon instead).
-    Returns one graph node whose backward rule gives the gradient of
-    ctx, its only parent.
+    n_ctx context vectors, class by class, as [..., k * n_ctx, d].  A
+    leading axis stacks clients, each with its own classes and contexts.
+    Averages each class's context rows, pushes the result through the
+    frozen head, adds it to the class-name embedding, and renormalizes
+    each row (rows with norm below 1e-8 are divided by that epsilon
+    instead).  Returns one graph node whose backward rule gives the
+    gradient of ctx, its only parent.
 
-    Raises NumericError if any row norm is not finite.  A finite row can
-    still overflow its squared norm (|x| beyond about 1e154), and dividing
-    by that infinite norm would silently zero the feature, leaving every
-    logit equal instead of reporting the diverged model.  The caller
-    decides whether numpy warns about the overflow on the way.
+    Raises NumericError if any row norm is not finite, indexed by the
+    first failing position along the leading axis.  A finite row can
+    still overflow its squared norm (|x| beyond about 1e154), and
+    dividing by that infinite norm would silently zero the feature,
+    leaving every logit equal instead of reporting the diverged model.
+    The caller decides whether numpy warns about the overflow on the way.
     """
-    k, d = class_emb.shape
-    if ctx.shape[-1] != d:
-        raise DimensionError(f"context width {ctx.shape} does not match embedding ({d})")
-    if k < 1 or ctx.shape[0] < k or ctx.shape[0] % k:
-        raise DimensionError(f"{ctx.shape[0]} context rows do not split into {k} classes")
-    n_ctx = ctx.shape[0] // k
-    z = ctx.value.reshape(k, n_ctx, d).mean(axis=1) @ head.W1
+    lead, (k, d) = class_emb.shape[:-2], class_emb.shape[-2:]
+    c = ctx.value
+    if c.shape[-1] != d:
+        raise DimensionError(f"context width {c.shape} does not match embedding ({d})")
+    rows = c.shape[-2]
+    if c.shape[:-2] != lead or k < 1 or rows < k or rows % k:
+        raise DimensionError(f"context {c.shape} does not split into {k} classes")
+    n_ctx = rows // k
+    z = c.reshape(*lead, k, n_ctx, d).mean(axis=-2) @ head.W1
     cdf = ag.gelu_cdf(z)
     x = class_emb + (z * cdf) @ head.W2
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    if not np.isfinite(norms).all():
-        raise NumericError("text feature norms are not finite")
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    ag.require_finite(norms, "text feature norms are not finite")
     denom = np.maximum(norms, L2_NORM_EPS)
     y = x / denom
 
     def rule(g):
         g_x = np.where(
             norms >= L2_NORM_EPS,
-            (g - y * (y * g).sum(axis=1, keepdims=True)) / denom,
+            (g - y * (y * g).sum(axis=-1, keepdims=True)) / denom,
             g / L2_NORM_EPS,
         )
         g_pooled = ((g_x @ head.W2.T) * ag.gelu_slope(z, cdf)) @ head.W1.T
-        return (np.repeat(g_pooled / n_ctx, n_ctx, axis=0),)
+        return (np.repeat(g_pooled / n_ctx, n_ctx, axis=-2),)
 
     return DiffNode(y, (ctx,), rule, op="text_feature")
 

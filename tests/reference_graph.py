@@ -1,20 +1,25 @@
-"""Reference composition of the class-feature map from small autograd ops,
-and the plain out-of-place form of the parameter path.
+"""Reference composition of the training graph from small autograd ops,
+and the plain per-client, out-of-place form of the parameter path.
 
-The package runs the translator block and the frozen text head as one
-graph node each, with hand-written backward rules.  This module keeps the
-same map as a chain of small ops, each with its own textbook rule, so the
-tests can hold the fused nodes against it: add, layer_norm, gelu, geglu
-and l2_normalize, plus translate_one, text_feature and
-class_text_features built from them with the constant 0/1 tiling and
-pooling matmuls, and probe_sum to reduce a matrix node to a scalar.
+The package runs the translator block, the frozen text head and the
+logits as one graph node each, with hand-written backward rules, and
+steps a round's clients in lockstep.  This module keeps the same map as
+a chain of small ops, each with its own textbook rule, so the tests can
+hold the fused nodes against it: scale, matmul, transpose, add,
+layer_norm, gelu, geglu and l2_normalize, plus translate_one,
+text_feature and class_text_features built from them with the constant
+0/1 tiling and pooling matmuls, and probe_sum to reduce a matrix node to
+a scalar.  class_logits is the per-client logits chain the package ran
+before its fused node: the package's features, transposed into a C-order
+copy, multiplied and scaled.
 
-The package steps and averages parameters in place, tensor by tensor.
-The same float operations written the direct way are sgd_step (new
-arrays for velocity and value), fedavg (over flatten() vectors, with
-unflatten to rebuild the set) and local_update (on a private copy of
-every value), so the tests can hold the package to them bitwise.
-Nothing here is used outside tests/.
+The package steps and averages parameters in place, tensor by tensor,
+for a whole chunk of clients at once.  The same float operations written
+the direct way, one client after another, are sgd_step (new arrays for
+velocity and value), fedavg (over flatten() vectors, with unflatten to
+rebuild the set) and local_update (one client on a private copy of
+every value, through class_logits above), so the tests can hold the
+package to them bitwise.  Nothing here is used outside tests/.
 """
 
 import numpy as np
@@ -23,7 +28,7 @@ from scipy.special import erf
 from fedprompt import autograd as ag
 from fedprompt.autograd import DiffNode, Parameter, ParameterSet
 from fedprompt.errors import DimensionError
-from fedprompt.federation import ClientUpdate, class_logits
+from fedprompt.federation import ClientUpdate, class_text_features as fused_features
 from fedprompt.translator import LAYER_NORM_EPS
 from fedprompt.world import L2_NORM_EPS
 
@@ -38,6 +43,30 @@ def _node(x) -> DiffNode:
 def _need_2d(x: DiffNode, op: str) -> None:
     if x.value.ndim != 2:
         raise DimensionError(f"{op} needs a 2-D operand, got shape {x.shape}")
+
+
+def scale(a, s: float) -> DiffNode:
+    a = _node(a)
+    s = float(s)
+    return DiffNode(a.value * s, (a,), lambda g: (g * s,), op="scale")
+
+
+def matmul(a, b) -> DiffNode:
+    a, b = _node(a), _node(b)
+    _need_2d(a, "matmul")
+    _need_2d(b, "matmul")
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    av, bv = a.value, b.value
+    return DiffNode(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g), op="matmul")
+
+
+def transpose(a) -> DiffNode:
+    a = _node(a)
+    _need_2d(a, "transpose")
+    # a C-order copy, not the strided view: BLAS rounds a matmul with a
+    # transposed operand differently
+    return DiffNode(np.ascontiguousarray(a.value.T), (a,), lambda g: (g.T,), op="transpose")
 
 
 def add(a, b) -> DiffNode:
@@ -125,20 +154,20 @@ def l2_normalize(x) -> DiffNode:
 def translate_one(params, cfg, emb: DiffNode) -> DiffNode:
     """The translator block as small ops: [k, d] embeddings to [k * n_ctx, d]."""
     k, n = emb.shape[0], cfg.n_ctx
-    value_rows = ag.matmul(emb, params["W_v"])
-    tiled = ag.matmul(ag.constant(np.kron(np.eye(k), np.ones((n, 1)))), value_rows)
-    queries = ag.matmul(ag.constant(np.kron(np.ones((k, 1)), np.eye(n))), params["queries"])
-    u = add(queries, ag.matmul(tiled, params["W_o"]))
+    value_rows = matmul(emb, params["W_v"])
+    tiled = matmul(ag.constant(np.kron(np.eye(k), np.ones((n, 1)))), value_rows)
+    queries = matmul(ag.constant(np.kron(np.ones((k, 1)), np.eye(n))), params["queries"])
+    u = add(queries, matmul(tiled, params["W_o"]))
     u_in = layer_norm(u, params["ln2_gain"], params["ln2_bias"])
-    return add(u, ag.matmul(geglu(ag.matmul(u_in, params["ffn_in"])), params["ffn_out"]))
+    return add(u, matmul(geglu(matmul(u_in, params["ffn_in"])), params["ffn_out"]))
 
 
 def text_feature(head, class_emb: np.ndarray, ctx: DiffNode) -> DiffNode:
     """The frozen text head as small ops: pooled context to unit features."""
     k = class_emb.shape[0]
     n_ctx = ctx.shape[0] // k
-    pooled = ag.matmul(ag.constant(np.kron(np.eye(k), np.full((1, n_ctx), 1.0 / n_ctx))), ctx)
-    corr = ag.matmul(gelu(ag.matmul(pooled, ag.constant(head.W1))), ag.constant(head.W2))
+    pooled = matmul(ag.constant(np.kron(np.eye(k), np.full((1, n_ctx), 1.0 / n_ctx))), ctx)
+    corr = matmul(gelu(matmul(pooled, ag.constant(head.W1))), ag.constant(head.W2))
     return l2_normalize(add(ag.constant(class_emb), corr))
 
 
@@ -150,6 +179,12 @@ def class_text_features(params, cfg, world, class_ids) -> DiffNode:
     else:
         ctx = translate_one(params, cfg, ag.constant(emb))
     return text_feature(world.head, emb, ctx)
+
+
+def class_logits(params, cfg, world, class_ids, images, temperature) -> DiffNode:
+    """One client's logits as the op chain: scale(images @ transpose(features))."""
+    feats = fused_features(params, cfg, world, class_ids)
+    return scale(matmul(ag.constant(images), transpose(feats)), 1.0 / temperature)
 
 
 def probe_sum(x: DiffNode, probe: np.ndarray) -> DiffNode:
@@ -185,7 +220,8 @@ def fedavg(updates: list) -> ParameterSet:
 
 
 def local_update(global_params, world, dataset, opt_cfg, trans_cfg, epochs, lr, rng, client_id):
-    """federation.local_update on private copies, stepped by sgd_step above."""
+    """federation.local_update for one client alone, on private copies,
+    through class_logits and sgd_step above."""
     params = ParameterSet([Parameter(name, p.value) for name, p in global_params.items()])
     velocity = {name: np.zeros(p.shape) for name, p in params.items()}
     losses = []

@@ -158,9 +158,9 @@ def test_centralized_equivalence():
     params = init.copy()
     for t in range(rounds):
         lr = cosine_lr(cfg.optimizer.lr0, t, rounds)
-        upd = local_update(
-            params, world, dataset, cfg.optimizer, cfg.translator, 1, lr,
-            rng_for(seed, "local", t, 0), 0,
+        (upd,) = local_update(
+            params, world, [dataset], cfg.optimizer, cfg.translator, 1, lr,
+            [rng_for(seed, "local", t, 0)], [0],
         )
         params = upd.params
 
@@ -285,35 +285,50 @@ def test_full_run_determinism(tmp_path):
     assert ok, msg
 
 
-def _cli_in_subprocess(env: dict, *args: str) -> None:
-    code = "import sys; from fedprompt.cli import main; sys.exit(main(sys.argv[1:]))"
-    subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+def _cli_in_subprocess(env: dict, commands: list[list[str]]) -> None:
+    """Run each command line through main(), in order, in one new process."""
+    code = ("import json, sys; from fedprompt.cli import main\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    if main(args) != 0:\n"
+            "        sys.exit(1)")
+    subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env, check=True,
                    stdout=subprocess.DEVNULL)
 
 
 def test_bytes_independent_of_blas_threads(tmp_path):
     # the package starts no threads, but BLAS may split a gemm across
-    # threads; the default configuration must still write the same bytes
+    # threads; the default configuration (one lockstep chunk of 6 clients)
+    # and a wide one that steps in several chunks must still write the
+    # same bytes
     src = str(Path(fedprompt.__file__).resolve().parent.parent)
+    runs = {
+        "default": ["--set", "federation.rounds=2"],
+        "chunked": ["--set", "federation.rounds=2", "--set", "world.d=64",
+                    "--set", "world.n_base=40", "--set", "federation.n_clients=16",
+                    "--set", "federation.classes_per_client=2",
+                    "--set", "federation.shots=2", "--set", "eval.n_test=10"],
+    }
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        d = tmp_path / f"threads{threads}"
-        d.mkdir()
-        ckpt, log, ev = str(d / "model.ftpg"), str(d / "log.jsonl"), str(d / "eval.json")
-        _cli_in_subprocess(env, "train", "--set", "federation.rounds=2",
-                           "--checkpoint", ckpt, "--log", log)
-        _cli_in_subprocess(env, "eval", "--checkpoint", ckpt, "--out", ev)
-        outputs.append({name: Path(path).read_bytes()
-                        for name, path in (("checkpoint", ckpt), ("log", log), ("eval", ev))})
+        commands, files = [], {}
+        for run, settings in runs.items():
+            d = tmp_path / f"{run}-threads{threads}"
+            d.mkdir()
+            ckpt, log, ev = str(d / "model.ftpg"), str(d / "log.jsonl"), str(d / "eval.json")
+            commands += [["train", *settings, "--checkpoint", ckpt, "--log", log],
+                         ["eval", "--checkpoint", ckpt, "--out", ev]]
+            files.update({f"{run} checkpoint": ckpt, f"{run} log": log, f"{run} eval": ev})
+        _cli_in_subprocess(env, commands)
+        outputs.append({name: Path(path).read_bytes() for name, path in files.items()})
 
     mismatched = [k for k in outputs[0] if outputs[0][k] != outputs[1][k]]
     ok = not mismatched
     msg = _line(
         "blas-threads",
         ok,
-        "checkpoint, log, eval byte-identical at 1 and 2 BLAS threads"
+        "checkpoint, log, eval byte-identical at 1 and 2 BLAS threads, one chunk and several"
         if ok
         else f"mismatched: {mismatched}",
     )

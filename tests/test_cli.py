@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fedprompt.autograd import Parameter, ParameterSet
-from fedprompt import container
+from fedprompt import cli, container
 from fedprompt.cli import main
 from fedprompt.config import canonical_text, extract_round, load_config, with_round_marker
 from fedprompt.container import (
@@ -94,6 +94,15 @@ class TestDispatch:
     def test_bad_flag_is_config_error(self, capsys):
         assert main(["train", "--bogus"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_runs_without_glibc_mallopt(self, monkeypatch, capsys):
+        # the malloc thresholds are set only where glibc offers mallopt
+        def no_libc(name):
+            raise OSError(f"cannot load {name}")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+        assert main(["--help"]) == 0
+        assert "train" in capsys.readouterr().out
 
     def test_python_m_fedprompt_without_warning(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -265,6 +274,12 @@ class TestTrain:
         Path(log).write_text("stale line\n" * 5)
         _train(tmp_path, tiny_cfg)
         assert Path(log).read_bytes() == first
+
+    def test_round_line_prints_small_rate_readably(self, tmp_path, tiny_cfg, capsys):
+        # six significant digits, not six decimals: 1e-9 would print 0.000000
+        _train(tmp_path, tiny_cfg, "--set", "optimizer.lr0=1e-9")
+        rates = re.findall(r"^round \d+: lr=(\S+) ", capsys.readouterr().out, re.M)
+        assert rates == ["1e-09", "5e-10"]
 
     def test_overflowing_training_names_round_and_client(self, tmp_path):
         # the default model overflows in its first round at this rate

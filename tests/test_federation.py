@@ -3,9 +3,11 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedprompt.autograd import Parameter, ParameterSet, backward
 from fedprompt import autograd as ag
@@ -18,11 +20,13 @@ from fedprompt.diagnostics import (
 )
 from fedprompt.errors import ConfigError, ContractError, NumericError, SchemaError
 from fedprompt.federation import (
+    CHUNK_SCALARS,
     ClientUpdate,
     OptimizerConfig,
     RoundLog,
     class_logits,
     class_text_features,
+    client_chunks,
     cosine_lr,
     fedavg,
     local_update,
@@ -43,6 +47,12 @@ OPT = OptimizerConfig(lr0=0.05, temperature=0.5, batch_size=4)
 @pytest.fixture(scope="module")
 def world():
     return build_world(WorldConfig(d=16, n_base=12, n_new=4, sigma_img=0.3, sigma_text=0.2, seed=2))
+
+
+@pytest.fixture(scope="module")
+def roomy_world():
+    # base classes for up to 5 clients of 4 classes each
+    return build_world(WorldConfig(d=16, n_base=20, n_new=2, sigma_img=0.3, sigma_text=0.2, seed=6))
 
 
 def small_setup(world, n_clients=2, classes_per_client=3, shots=2, seed=10):
@@ -108,6 +118,17 @@ class TestSgdStep:
         sgd_step(ParameterSet([p]), {"w": np.zeros(20)}, 0.07, cfg)
         assert np.max(np.abs(p.value - (theta - 0.07 * grad))) < 1e-15
 
+    def test_stacked_step_names_lowest_failing_client(self):
+        # "a" steps first and fails for client 2, "b" fails for client 1:
+        # the step finishes every tensor and names client 1
+        a, b = Parameter("a", np.ones((3, 2))), Parameter("b", np.ones((3, 2)))
+        a.grad = np.where(np.arange(3)[:, None] == 2, np.inf, 0.0) * np.ones((3, 2))
+        b.grad = np.where(np.arange(3)[:, None] == 1, np.inf, 0.0) * np.ones((3, 2))
+        with pytest.raises(NumericError) as err, np.errstate(invalid="ignore"):
+            sgd_step(ParameterSet([a, b]), {}, 0.1, OptimizerConfig())
+        assert err.value.index == 1
+        assert a.grad is None and b.grad is None
+
 
 class TestSelectClients:
     def test_full_participation(self):
@@ -170,6 +191,46 @@ class TestFedAvg:
         with pytest.raises(ContractError):
             fedavg([])
 
+    def test_running_mean_folds_ascending_only(self):
+        running = federation.RunningMean()
+        with pytest.raises(ContractError):
+            running.params()
+        fedavg([self.make_update(2, [1.0]), self.make_update(4, [2.0])], running)
+        for late in (4, 3):
+            with pytest.raises(ContractError):
+                fedavg([self.make_update(late, [3.0]), self.make_update(7, [3.0])], running)
+        assert fedavg([self.make_update(5, [6.0])], running) is None
+        assert running.count == 3 and running.params()["w"].value[0] == 3.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 50), min_size=1, max_size=7, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_any_arrival_order_and_chunking_is_one_call(self, ids, seed, data):
+        rng = np.random.default_rng(seed)
+        updates = [
+            ClientUpdate(cid, ParameterSet([Parameter("W", rng.standard_normal((3, 4))),
+                                            Parameter("s", rng.standard_normal(()))]), 0.0)
+            for cid in ids
+        ]
+        whole = value_bytes(fedavg(updates))
+        arrived = data.draw(st.permutations(updates))
+        assert value_bytes(fedavg(arrived)) == whole
+        # consecutive chunks of the sorted updates, each folded on arrival
+        ordered = sorted(updates, key=lambda u: u.client_id)
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(ordered) - 1,
+                                  max_size=len(ordered) - 1))
+        chunks, running = [[ordered[0]]], federation.RunningMean()
+        for cut, u in zip(cuts, ordered[1:]):
+            if cut:
+                chunks.append([])
+            chunks[-1].append(u)
+        for chunk in chunks:
+            fedavg(data.draw(st.permutations(chunk)), running)
+        assert value_bytes(running.params()) == whole
+
 
 def loop_features(params, world, class_ids):
     """Reference: one translator and one head graph per class (k = 1)."""
@@ -199,8 +260,8 @@ class TestClassTextFeatures:
 
     def trained_params(self, world):
         datasets, params = small_setup(world)
-        return local_update(params, world, datasets[0], OPT, TRANS, 2, 0.05,
-                            np.random.default_rng(11), 0).params
+        return local_update(params, world, [datasets[0]], OPT, TRANS, 2, 0.05,
+                            [np.random.default_rng(11)], [0])[0].params
 
     def test_trained_features_match_per_class_loop(self, world):
         params = self.trained_params(world)
@@ -222,13 +283,13 @@ class TestClassTextFeatures:
 
         def total(rows):
             # sum_i <feature_i, probe_i> as a scalar node
-            out = ag.matmul(rows[0], ag.constant(probe[:1].T))
+            out = ref.matmul(rows[0], ag.constant(probe[:1].T))
             for i, row in enumerate(rows[1:], start=1):
-                out = ref.add(out, ag.matmul(row, ag.constant(probe[i : i + 1].T)))
+                out = ref.add(out, ref.matmul(row, ag.constant(probe[i : i + 1].T)))
             return out
 
         feats = class_text_features(params, TRANS, world, self.IDS)
-        backward(total([ag.matmul(ag.constant(np.eye(k)[i : i + 1]), feats) for i in range(k)]))
+        backward(total([ref.matmul(ag.constant(np.eye(k)[i : i + 1]), feats) for i in range(k)]))
         batched = {name: p.grad.copy() for name, p in params.items()}
         backward(total(loop_features(params, world, self.IDS)))
         scale = max(np.abs(p.grad).max() for p in params)
@@ -239,13 +300,18 @@ class TestClassTextFeatures:
     def test_step_graph_size_independent_of_class_count(self, world):
         params = init_translator_params(TRANS, 3)
         images = np.random.default_rng(13).standard_normal((4, 16))
-        sizes = set()
-        for k in (1, 3, 12):
-            logits = class_logits(params, TRANS, world, range(k), images, 0.5)
-            sizes.add(graph_size(ag.cross_entropy(logits, [0] * 4)))
-        # 7 parameters, the embedding and image constants, the translator
-        # and text-head nodes, transpose, matmul, scale and cross_entropy
-        assert len(sizes) == 1 and sizes.pop() <= 15
+        sizes = {}
+        for n_clients in (1, 3):
+            stack = params.stacked(n_clients)
+            for k in (1, 3, 12):
+                ids = [list(range(i, i + k)) for i in range(n_clients)]
+                logits = class_logits(stack, TRANS, world, ids, np.stack([images] * n_clients), 0.5)
+                loss = ag.cross_entropy(logits, np.zeros((n_clients, 4), dtype=int))
+                sizes[n_clients, k] = graph_size(loss)
+                assert loss.means.shape == (n_clients,)
+        # 7 parameters, the embedding constant, the translator, text-head
+        # and logits nodes and cross_entropy, whatever the clients and classes
+        assert set(sizes.values()) == {12}, sizes
 
     def test_negative_class_id_rejected(self, world):
         with pytest.raises(IndexError):
@@ -312,8 +378,8 @@ class TestLocalUpdate:
     def test_global_params_untouched(self, world):
         datasets, params = small_setup(world)
         before = params.flatten()
-        local_update(params, world, datasets[0], OPT, TRANS, 1, 0.05,
-                     np.random.default_rng(0), 0)
+        local_update(params, world, [datasets[0]], OPT, TRANS, 1, 0.05,
+                     [np.random.default_rng(0)], [0])[0]
         assert np.array_equal(params.flatten(), before)
 
     def test_global_values_and_grads_untouched(self, world):
@@ -324,8 +390,8 @@ class TestLocalUpdate:
         values = {name: p.value for name, p in params.items()}
         grads = {name: p.grad for name, p in params.items()}
         before = {name: (p.value.tobytes(), p.grad.tobytes()) for name, p in params.items()}
-        update = local_update(params, world, datasets[0], OPT, TRANS, 2, 0.05,
-                              np.random.default_rng(0), 0)
+        update = local_update(params, world, [datasets[0]], OPT, TRANS, 2, 0.05,
+                              [np.random.default_rng(0)], [0])[0]
         for name, p in params.items():
             assert p.value is values[name] and p.grad is grads[name]
             assert (p.value.tobytes(), p.grad.tobytes()) == before[name]
@@ -333,17 +399,17 @@ class TestLocalUpdate:
 
     def test_deterministic_given_rng_seed(self, world):
         datasets, params = small_setup(world)
-        a = local_update(params, world, datasets[0], OPT, TRANS, 2, 0.05,
-                         np.random.default_rng(5), 0)
-        b = local_update(params, world, datasets[0], OPT, TRANS, 2, 0.05,
-                         np.random.default_rng(5), 0)
+        a = local_update(params, world, [datasets[0]], OPT, TRANS, 2, 0.05,
+                         [np.random.default_rng(5)], [0])[0]
+        b = local_update(params, world, [datasets[0]], OPT, TRANS, 2, 0.05,
+                         [np.random.default_rng(5)], [0])[0]
         assert np.array_equal(a.params.flatten(), b.params.flatten())
         assert a.mean_loss == b.mean_loss
 
     def test_training_moves_parameters(self, world):
         datasets, params = small_setup(world)
-        update = local_update(params, world, datasets[0], OPT, TRANS, 1, 0.05,
-                              np.random.default_rng(1), 0)
+        update = local_update(params, world, [datasets[0]], OPT, TRANS, 1, 0.05,
+                              [np.random.default_rng(1)], [0])[0]
         assert not np.array_equal(update.params.flatten(), params.flatten())
 
     def test_overflowing_step_raises(self, world):
@@ -352,27 +418,116 @@ class TestLocalUpdate:
         datasets, params = small_setup(world)
         opt = OptimizerConfig(lr0=0.05, temperature=0.5, batch_size=4, weight_decay=10.0)
         with pytest.raises(NumericError), np.errstate(over="ignore"):
-            local_update(params, world, datasets[0], opt, TRANS, 1, 1e308,
-                         np.random.default_rng(2), 0)
+            local_update(params, world, [datasets[0]], opt, TRANS, 1, 1e308,
+                         [np.random.default_rng(2)], [0])[0]
 
     def test_zero_lr_keeps_values(self, world):
         datasets, params = small_setup(world)
-        update = local_update(params, world, datasets[0], OPT, TRANS, 1, 0.0,
-                              np.random.default_rng(2), 0)
+        update = local_update(params, world, [datasets[0]], OPT, TRANS, 1, 0.0,
+                              [np.random.default_rng(2)], [0])[0]
         assert np.array_equal(update.params.flatten(), params.flatten())
 
     def test_loss_decreases_over_epochs(self, world):
         datasets, params = small_setup(world, shots=4)
         opt = OptimizerConfig(lr0=0.2, temperature=0.5, batch_size=8)
-        first = local_update(params, world, datasets[0], opt, TRANS, 1, 0.2,
-                             np.random.default_rng(3), 0)
-        many = local_update(params, world, datasets[0], opt, TRANS, 8, 0.2,
-                            np.random.default_rng(3), 0)
+        first = local_update(params, world, [datasets[0]], opt, TRANS, 1, 0.2,
+                             [np.random.default_rng(3)], [0])[0]
+        many = local_update(params, world, [datasets[0]], opt, TRANS, 8, 0.2,
+                            [np.random.default_rng(3)], [0])[0]
         assert many.mean_loss < first.mean_loss
 
 
 def value_bytes(params):
     return {name: p.value.tobytes() for name, p in params.items()}
+
+
+class TestLockstep:
+    """A chunk of clients stepped as one stack against each client alone."""
+
+    def test_chunk_matches_clients_alone(self, world):
+        datasets, params = small_setup(world, n_clients=3, classes_per_client=3, shots=3)
+        opt = OptimizerConfig(lr0=0.05, momentum=0.9, weight_decay=1e-2, batch_size=4)
+        ids = [0, 1, 2]
+        chunk = local_update(params, world, [datasets[c] for c in ids], opt, TRANS, 2, 0.05,
+                             [np.random.default_rng(30 + c) for c in ids], ids)
+        assert [u.client_id for u in chunk] == ids
+        for c, update in zip(ids, chunk):
+            (alone,) = local_update(params, world, [datasets[c]], opt, TRANS, 2, 0.05,
+                                    [np.random.default_rng(30 + c)], [c])
+            reference = ref.local_update(params, world, datasets[c], opt, TRANS, 2, 0.05,
+                                         np.random.default_rng(30 + c), c)
+            for other in (alone, reference):
+                assert value_bytes(update.params) == value_bytes(other.params)
+                assert update.mean_loss == other.mean_loss
+            assert update.params.schema() == params.schema()
+
+    def test_chunks_cut_by_shape_and_cap(self, world):
+        def fake(k, shots):
+            return build_client_dataset(world, range(k), shots, 0, 0)
+
+        datasets = {0: fake(2, 2), 1: fake(2, 2), 2: fake(2, 2), 3: fake(1, 4),
+                    4: fake(2, 2), 5: fake(2, 2)}
+        n = 1000
+        assert client_chunks(datasets, list(range(6)), n) == [[0, 1, 2], [3], [4, 5]]
+        assert client_chunks(datasets, [0, 2, 4, 5], n) == [[0, 2, 4, 5]]
+        with mock.patch.object(federation, "CHUNK_SCALARS", 2 * n + 1):
+            assert client_chunks(datasets, list(range(6)), n) == [[0, 1], [2], [3], [4, 5]]
+        assert client_chunks(datasets, [1, 4], CHUNK_SCALARS + 1) == [[1], [4]]
+
+    def test_mixed_shapes_rejected(self, world):
+        datasets, params = small_setup(world, n_clients=2)
+        small = build_client_dataset(world, [0, 1], 2, 0, 0)
+        with pytest.raises(ContractError):
+            local_update(params, world, [datasets[0], small], OPT, TRANS, 1, 0.05,
+                         [np.random.default_rng(0)] * 2, [0, 1])
+        with pytest.raises(ContractError):
+            local_update(params, world, [datasets[0]], OPT, TRANS, 1, 0.05,
+                         [np.random.default_rng(0)] * 2, [0])
+
+    @pytest.mark.parametrize("failing", [[2], [3, 1]])
+    def test_overflow_names_lowest_failing_client_of_chunk(self, world, failing):
+        datasets, params = small_setup(world, n_clients=4, classes_per_client=3)
+        assert client_chunks(datasets, [0, 1, 2, 3], params.n_scalars()) == [[0, 1, 2, 3]]
+        emb = world.class_embeddings.copy()
+        for c in failing:
+            emb[datasets[c].class_ids[0]] *= 1e200
+        bad = replace(world, class_embeddings=emb)
+        with pytest.raises(NumericError) as err:
+            run_training(bad, datasets, OPT, TRANS, params, 2, 1, 1.0, seed=5)
+        assert str(err.value).startswith(f"round 0, client {min(failing)}: "), err.value
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_clients=st.integers(1, 5),
+        classes=st.integers(1, 4),
+        shots=st.integers(1, 3),
+        batch=st.integers(1, 5),
+        epochs=st.integers(1, 2),
+        fraction=st.sampled_from([0.3, 0.6, 1.0]),
+        chunk_cap=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_run_training_matches_per_client_reference(
+        self, roomy_world, n_clients, classes, shots, batch, epochs, fraction, chunk_cap, seed
+    ):
+        world = roomy_world
+        datasets, params = small_setup(world, n_clients, classes, shots, seed)
+        opt = OptimizerConfig(lr0=0.1, momentum=0.9, weight_decay=1e-2, batch_size=batch)
+        rounds = 2
+        with mock.patch.object(federation, "CHUNK_SCALARS", chunk_cap * params.n_scalars()):
+            trained, logs = run_training(world, datasets, opt, TRANS, params, rounds, epochs,
+                                         fraction, seed)
+        current = params
+        for t in range(rounds):
+            lr = cosine_lr(opt.lr0, t, rounds)
+            updates = [
+                ref.local_update(current, world, datasets[cid], opt, TRANS, epochs, lr,
+                                 rng_for(seed, "local", t, cid), cid)
+                for cid in select_clients(n_clients, fraction, seed, t)
+            ]
+            current = ref.fedavg(updates)
+            assert logs[t].client_loss == {u.client_id: u.mean_loss for u in updates}
+        assert value_bytes(trained) == value_bytes(current)
 
 
 class TestParameterPathAgainstReference:
@@ -481,8 +636,8 @@ class TestRunTraining:
         for t in range(total_rounds):
             lr = cosine_lr(OPT.lr0, t, total_rounds)
             updates = [
-                local_update(current, world, datasets[cid], OPT, TRANS, 1, lr,
-                             rng_for(seed, "local", t, cid), cid)
+                local_update(current, world, [datasets[cid]], OPT, TRANS, 1, lr,
+                             [rng_for(seed, "local", t, cid)], [cid])[0]
                 for cid in select_clients(len(datasets), 1.0, seed, t)
             ]
             current = fedavg(updates)
@@ -504,21 +659,25 @@ class TestRunTraining:
         }
 
     def test_round_holds_one_value_set_per_client(self, monkeypatch):
-        # until fedavg a round keeps each client's values, the global set,
-        # the mean and one client's working state; a gradient or a
-        # zero-filled velocity kept per client would double the peak
-        wide = build_world(WorldConfig(d=64, n_base=40, seed=3))
-        tcfg = TranslatorConfig(d_model=64)
+        # a round keeps the global set, the running mean, and one chunk of
+        # K clients: its stacked values, velocity and gradients (3 K sets),
+        # plus scratch; a gradient or a zero-filled velocity kept per
+        # client, or every client kept until one fedavg, would exceed it
+        wide = build_world(WorldConfig(d=128, n_base=40, seed=3))
+        tcfg = TranslatorConfig(d_model=128)
         blocks = partition_classes(wide.cfg.n_base, 16, 2, 3)
         datasets = {cid: build_client_dataset(wide, block, 2, 3, cid)
                     for cid, block in enumerate(blocks)}
         params = init_translator_params(tcfg, 3)
-        grads_kept = []
+        chunk = CHUNK_SCALARS // params.n_scalars()
+        assert 1 < chunk < len(datasets) // 4
+        chunks, grads_kept = [], []
 
         def checked_local_update(*args):
-            update = local_update(*args)
-            grads_kept.append(sum(p.grad is not None for p in update.params))
-            return update
+            updates = local_update(*args)
+            chunks.append([u.client_id for u in updates])
+            grads_kept.extend(sum(p.grad is not None for p in u.params) for u in updates)
+            return updates
 
         monkeypatch.setattr(federation, "local_update", checked_local_update)
         tracemalloc.start()
@@ -528,7 +687,8 @@ class TestRunTraining:
         finally:
             tracemalloc.stop()
         set_bytes = params.n_scalars() * 8
-        assert peak < (len(datasets) + 4) * set_bytes, peak / set_bytes
+        assert chunks == [list(range(i, i + chunk)) for i in range(0, len(datasets), chunk)]
+        assert peak < (3 * chunk + 4) * set_bytes, peak / set_bytes
         assert grads_kept == [0] * len(datasets)
 
     def test_bad_dataset_keys_rejected(self, world):
