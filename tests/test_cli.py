@@ -316,6 +316,21 @@ class TestEval:
         assert set(payload) >= {"base", "new", "gap", "zero_context_baseline"}
         assert "checkpoint after round 2" in capsys.readouterr().out
 
+    def test_default_run_eval_is_pinned(self, tmp_path, capsys):
+        # accuracy counts do not depend on the host's BLAS kernels, so the
+        # default run's eval.json and scores are fixed bytes
+        ckpt, log = str(tmp_path / "model.ftpg"), str(tmp_path / "log.jsonl")
+        assert main(["train", "--checkpoint", ckpt, "--log", log]) == 0
+        out = tmp_path / "eval.json"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b7d98eecc59183704c224e29376e4038998276abeeef54957a9fa6103cdc64d6"
+        )
+        assert "base 68.80  new 57.80  gap -11.00" in printed
+        assert "zero-context baseline: base 50.37  new 63.80" in printed
+
     def test_zero_lr_single_round_matches_zero_context_baseline(self, tmp_path, tiny_cfg):
         # a no-op optimizer leaves the zero-started block closed, so the
         # trained model scores exactly like the zero-context baseline
