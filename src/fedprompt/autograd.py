@@ -18,7 +18,7 @@ round's clients can take each step as one graph.
 All math is float64 on plain, read-only ndarrays: node values and the
 gradients backward() stores are frozen, so an array may be shared
 between nodes, between a gradient and the rule output it came from, and
-between a Parameter and its copies or stacks, without ever being copied.
+between a Parameter and its stacks or rows, without ever being copied.
 Finiteness is checked where state and results leave the graph, raising
 NumericError that names the first failing position along the leading
 axis, for a stack the client: Parameter values (init, load, fedavg,
@@ -98,8 +98,8 @@ class Parameter(DiffNode):
     By default the value is a private copy of what the caller passed.
     With copy=False a float64 C-order array is adopted as it is (anything
     else is still converted): the caller hands it over, and it is checked
-    and frozen in place.  Since a value is never written, copies of a
-    Parameter (twin) share it.
+    and frozen in place.  Since a value is never written, twins of a
+    Parameter over views of it share its memory.
     """
 
     __slots__ = ("name",)
@@ -113,13 +113,13 @@ class Parameter(DiffNode):
         existing grad is kept as-is."""
         self.value = _checked(self.name, value, copy)
 
-    def twin(self, view: np.ndarray | None = None) -> "Parameter":
-        """A new leaf of the same name, with no grad, over the same frozen
-        value or over a view of it (a broadcast stack, or one client's row
-        of a stack).  The value is already finite, so it is neither copied
-        nor checked again."""
+    def twin(self, view: np.ndarray) -> "Parameter":
+        """A new leaf of the same name, with no grad, over a view of the
+        frozen value (a broadcast stack, or one client's row of a stack).
+        The value is already finite, so it is neither copied nor checked
+        again."""
         twin = Parameter.__new__(Parameter)
-        DiffNode.__init__(twin, self.value if view is None else view, op="param")
+        DiffNode.__init__(twin, view, op="param")
         twin.name = self.name
         return twin
 
@@ -142,23 +142,14 @@ class ParameterSet:
             by_name[p.name] = p
         self._params = {name: by_name[name] for name in sorted(by_name)}
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def __iter__(self):
         return iter(self._params.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __getitem__(self, name: str) -> Parameter:
         try:
             return self._params[name]
         except KeyError:
             raise SchemaError(f"no parameter named {name!r}") from None
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self):
         return self._params.items()
@@ -174,12 +165,6 @@ class ParameterSet:
         if not self._params:
             return np.empty(0)
         return np.concatenate([p.value.reshape(-1) for p in self])
-
-    def copy(self) -> "ParameterSet":
-        """A set of new Parameters (see Parameter.twin) over the same frozen
-        value arrays: nothing is copied, and setting a value in one set
-        never shows in the other."""
-        return ParameterSet([p.twin() for p in self])
 
     def stacked(self, n: int) -> "ParameterSet":
         """New Parameters over [n, *shape] read-only broadcasts of these

@@ -30,6 +30,8 @@ from fedprompt.translator import TranslatorConfig, init_translator_params
 from fedprompt.world import FrozenTextHead, WorldConfig, build_world
 
 GRADCHECK_TOLERANCE = 1e-6
+# central-difference step of the composite check; see the probe instance
+GRADCHECK_STEP = 1e-5
 
 
 def randomized_translator_params(cfg: TranslatorConfig, seed: int, std: float = 0.05) -> ParameterSet:
@@ -48,7 +50,7 @@ def randomized_translator_params(cfg: TranslatorConfig, seed: int, std: float = 
 
 
 # Probe instance for the composite check, frozen after a conditioning
-# scan.  Central differences at h=1e-5 carry an absolute noise floor
+# scan.  Central differences at GRADCHECK_STEP carry an absolute noise floor
 # around 1e-11, so the instance must keep every live gradient
 # coordinate well above ~1e-5 or the comparison measures roundoff, not
 # correctness.  The seed maximizes the smallest nonzero gradient, the
@@ -99,7 +101,7 @@ def _grad_check_instance() -> tuple[ParameterSet, Callable[[], ag.DiffNode]]:
     return params, loss_fn
 
 
-def composite_grad_check(h: float = 1e-5) -> tuple[float, int, float]:
+def composite_grad_check() -> tuple[float, int, float]:
     """Gradient check of the full training loss on the probe instance.
 
     Returns (max relative error over every scalar, scalar count,
@@ -107,7 +109,7 @@ def composite_grad_check(h: float = 1e-5) -> tuple[float, int, float]:
     """
     params, loss_fn = _grad_check_instance()
     start = time.perf_counter()
-    err = grad_check(loss_fn, params, h=h)
+    err = grad_check(loss_fn, params, h=GRADCHECK_STEP)
     elapsed = time.perf_counter() - start
     return err, params.n_scalars(), elapsed
 
@@ -162,7 +164,7 @@ def _check_live_gradients() -> CheckResult:
 def _check_fedavg_identity() -> CheckResult:
     tcfg = TranslatorConfig(d_model=16, n_ctx=4, ffn_mult=2)
     params = randomized_translator_params(tcfg, seed=3)
-    updates = [ClientUpdate(i, params.copy(), 0.0) for i in range(3)]
+    updates = [ClientUpdate(i, params, 0.0) for i in range(3)]
     merged = fedavg(updates)
     same = np.array_equal(merged.flatten(), params.flatten())
     return CheckResult("fedavg-identity", same, "3 identical updates, bitwise")

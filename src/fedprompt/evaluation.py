@@ -24,17 +24,15 @@ SPLITS = ("base", "new")
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Accuracies of one evaluated run, in percent."""
+    """Base and new split accuracies of one evaluated model, in percent;
+    gap is the points by which new-class accuracy beats base accuracy."""
 
-    dataset_name: str
     base_acc: float
     new_acc: float
-    gap: float
 
-
-def generalization_gap(base_acc: float, new_acc: float) -> float:
-    """Percentage points by which new-class accuracy beats base accuracy."""
-    return new_acc - base_acc
+    @property
+    def gap(self) -> float:
+        return self.new_acc - self.base_acc
 
 
 def split_class_ids(world: SyntheticWorld, split: str) -> list[int]:
@@ -97,8 +95,7 @@ def evaluate_both_splits(
     n_test: int,
     temperature: float,
     seed: int,
-    dataset_name: str = "synthetic",
 ) -> EvalResult:
     base = evaluate(params, world, trans_cfg, "base", n_test, temperature, seed)
     new = evaluate(params, world, trans_cfg, "new", n_test, temperature, seed)
-    return EvalResult(dataset_name, base, new, generalization_gap(base, new))
+    return EvalResult(base, new)

@@ -5,9 +5,10 @@ parameters, run a few epochs of local SGD on their own class subset, and
 send the resulting parameters back; the server replaces the global model
 with the uniform coordinatewise mean.  Clients hold disjoint classes, so
 locally the task is a small closed-set classification problem over each
-client's own label space.  Each local step builds one graph for the
-client's whole class set: one translator pass and one text-head pass over
-all of its classes, whatever their number.
+client's own label space.  A round's clients step in lockstep chunks
+(client_chunks): each local step builds one graph for a whole chunk, with
+every parameter stacked along a leading client axis, and one translator
+pass and one text-head pass cover every class of every client in it.
 
 Parameter values are read-only arrays, so a client's start shares the
 global arrays instead of copying them; each SGD step computes every
@@ -162,7 +163,7 @@ def class_text_features(
             *lead, k, _ = emb.shape
             ctx = ag.constant(np.zeros((*lead, k * trans_cfg.n_ctx, trans_cfg.d_model)))
         else:
-            ctx = translate_one(params, trans_cfg, ag.constant(emb))
+            ctx = translate_one(params, trans_cfg, emb)
         return text_feature(world.head, emb, ctx)
 
 
@@ -425,7 +426,7 @@ def run_training(
     n_clients = len(datasets)
     if sorted(datasets) != list(range(n_clients)):
         raise ConfigError("datasets must be keyed by contiguous client ids starting at 0")
-    params = init_params.copy()
+    params = init_params
     logs = []
     for t in range(total_rounds):
         lr = cosine_lr(opt_cfg.lr0, t, total_rounds)

@@ -228,7 +228,7 @@ def overall_text(table: ComparisonTable) -> str:
 def eval_result_json(result: EvalResult, baseline: EvalResult) -> str:
     """The trained scores with display strings, beside the zero-context baseline."""
     payload = {
-        "dataset": result.dataset_name,
+        "dataset": "synthetic",
         **_json_entry({"base": result.base_acc, "new": result.new_acc, "gap": result.gap}),
         "zero_context_baseline": {
             "base": baseline.base_acc,

@@ -19,10 +19,11 @@ works on a [k, n_ctx, d_model] view, adding each class's update row to
 the queries by broadcasting; every later step works row by row, so the
 classes never mix.  A leading client axis, [C, k, n_ctx, d_model] with
 every parameter stacked as [C, *shape], runs C clients' class sets
-through the same node without mixing them either.  Its backward rule
-is written out by hand (layer norm, GEGLU and both residual paths) and
-returns the gradients of the embedding and of all seven parameters; the
-tests hold it against the same block composed from small autograd ops.
+through the same node without mixing them either.  The embeddings are
+frozen data, so the node's parents are the seven parameters alone.  Its
+backward rule is written out by hand (layer norm, GEGLU and both
+residual paths) and returns their seven gradients; the tests hold it
+against the same block composed from small autograd ops.
 
 Parameter tensors have a fixed schema; see translator_schema().  The
 output projection and the second feed-forward matrix start at zero, which
@@ -104,23 +105,23 @@ def init_translator_params(cfg: TranslatorConfig, seed: int) -> ParameterSet:
     return ParameterSet(params)
 
 
-def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: DiffNode) -> DiffNode:
+def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: np.ndarray) -> DiffNode:
     """Context vectors for k classes; emb is [..., k, d_model], the result
     is [..., k * n_ctx, d_model] with class i in rows i * n_ctx to
     (i + 1) * n_ctx.
 
     A leading axis of emb stacks clients, and every parameter then holds
     one value per client along the same axis, [..., *shape]; a 2-D emb
-    takes the plain parameters.  One graph node whose parents are emb and
-    the seven parameters, in schema order; its backward rule returns all
-    eight gradients.  Every product and sum runs within one client and
-    one class, so a stack computes each client's slice with the same
-    float operations, in the same order, as that client alone.
+    takes the plain parameters.  emb is data and gets no gradient: one
+    graph node whose parents are the seven parameters, in schema order,
+    and whose backward rule returns their seven gradients.  Every product
+    and sum runs within one client and one class, so a stack computes
+    each client's slice with the same float operations, in the same
+    order, as that client alone.
     """
-    e = emb.value
-    if e.ndim < 2 or e.shape[-2] < 1 or e.shape[-1] != cfg.d_model:
-        raise DimensionError(f"emb must be (..., k, {cfg.d_model}) with k >= 1, got {e.shape}")
-    lead, k = e.shape[:-2], e.shape[-2]
+    if emb.ndim < 2 or emb.shape[-2] < 1 or emb.shape[-1] != cfg.d_model:
+        raise DimensionError(f"emb must be (..., k, {cfg.d_model}) with k >= 1, got {emb.shape}")
+    lead, k = emb.shape[:-2], emb.shape[-2]
     n, d, f = cfg.n_ctx, cfg.d_model, cfg.d_ffn
     schema = translator_schema(cfg)
     tensors = tuple(params[name] for name, _ in schema)
@@ -134,7 +135,7 @@ def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: DiffNode) ->
         return x.swapaxes(-1, -2)
 
     # the update row of each class, broadcast over that class's n_ctx queries
-    vrow = e @ w_v
+    vrow = emb @ w_v
     u = (q[..., None, :, :] + (vrow @ w_o)[..., :, None, :]).reshape(*lead, k * n, d)
     # pre-norm: population variance, epsilon inside the square root
     uc = u - u.mean(axis=-1, keepdims=True)
@@ -163,9 +164,8 @@ def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: DiffNode) ->
         g_row = g_u.sum(axis=-2)
         g_vrow = g_row @ tr(w_o)
         return (
-            g_vrow @ tr(w_v),
             g_u.sum(axis=-3),
-            tr(e) @ g_vrow,
+            tr(emb) @ g_vrow,
             tr(vrow) @ g_row,
             (g_in * y).sum(axis=-2),
             g_in.sum(axis=-2),
@@ -173,4 +173,4 @@ def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: DiffNode) ->
             tr(m) @ g,
         )
 
-    return DiffNode(out, (emb, *tensors), rule, op="translate")
+    return DiffNode(out, tensors, rule, op="translate")

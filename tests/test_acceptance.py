@@ -110,7 +110,7 @@ def test_fedavg_identities():
 
     identical_ok = True
     for k in (3, 7):
-        copies = [ClientUpdate(i, single.params.copy(), 0.0) for i in range(k)]
+        copies = [ClientUpdate(i, single.params, 0.0) for i in range(k)]
         identical_ok &= np.array_equal(
             fedavg(copies).flatten(), single.params.flatten()
         )
@@ -155,7 +155,7 @@ def test_centralized_equivalence():
         world, {0: dataset}, cfg.optimizer, cfg.translator, init, rounds, 1, 1.0, seed
     )
 
-    params = init.copy()
+    params = init
     for t in range(rounds):
         lr = cosine_lr(cfg.optimizer.lr0, t, rounds)
         (upd,) = local_update(

@@ -310,7 +310,7 @@ class TestParameterSet:
 
     def test_lexicographic_order(self):
         ps = self.make()
-        assert ps.names() == ["W_q", "bias", "queries"]
+        assert [p.name for p in ps] == ["W_q", "bias", "queries"]
 
     def test_flatten_round_trip_bitwise(self):
         ps = self.make()
@@ -331,22 +331,24 @@ class TestParameterSet:
         with pytest.raises(SchemaError):
             ParameterSet([Parameter("a", [1.0]), Parameter("a", [2.0])])
 
-    def test_copy_is_independent(self):
+    def test_row_twin_is_independent(self):
         ps = self.make()
-        dup = ps.copy()
+        dup = ps.stacked(1).row(0)
         dup["bias"].set_value(np.array([0.0, 0.0]))
         dup["W_q"].grad = np.ones((3, 3))
         assert np.array_equal(ps["bias"].value, [7.0, 8.0])
         assert ps["W_q"].grad is None
 
-    def test_copy_shares_read_only_values(self):
+    def test_row_twin_shares_read_only_values(self):
         ps = self.make()
         ps["bias"].grad = np.ones(2)
-        dup = ps.copy()
+        dup = ps.stacked(1).row(0)
         assert dup.schema() == ps.schema()
         for name, p in ps.items():
             assert dup[name] is not p and dup[name].name == name
-            assert dup[name].value is p.value and not p.value.flags.writeable
+            assert np.shares_memory(dup[name].value, p.value)
+            assert np.array_equal(dup[name].value, p.value)
+            assert not dup[name].value.flags.writeable and not p.value.flags.writeable
             assert dup[name].grad is None
 
     def test_missing_name(self):

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedprompt.autograd import Parameter, ParameterSet
+import fedprompt
 from fedprompt import cli, container
+from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.cli import main
 from fedprompt.config import canonical_text, extract_round, load_config, with_round_marker
 from fedprompt.container import (
@@ -133,6 +134,14 @@ class TestReadme:
         assert len(listed) == len(set(listed)), "README lists a module twice"
         modules = {p.name for p in (root / "src" / "fedprompt").glob("*.py")} - {"__init__.py"}
         assert set(listed) == modules
+
+    def test_library_example_imports_the_package_api(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        example = readme.split("\n## Library use\n", 1)[1].split("```")[1]
+        imported = re.search(r"^from fedprompt import \((.*?)\)", example, flags=re.M | re.S)
+        names = [n.strip() for n in imported.group(1).split(",") if n.strip()]
+        assert sorted(names) == sorted(set(fedprompt.__all__) - {"main"})
 
 
 class TestMakeWorld:

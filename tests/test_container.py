@@ -38,7 +38,7 @@ class TestRoundTrip:
         save_checkpoint(path, params, "alpha=1\nbeta=two\n")
         loaded, config_text = load_checkpoint(path)
         assert config_text == "alpha=1\nbeta=two\n"
-        assert loaded.names() == params.names()
+        assert loaded.schema() == params.schema()
         for name, p in params.items():
             assert np.array_equal(loaded[name].value, p.value)
 

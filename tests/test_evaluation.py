@@ -9,7 +9,6 @@ from fedprompt.evaluation import (
     class_features,
     evaluate,
     evaluate_both_splits,
-    generalization_gap,
     split_class_ids,
 )
 from fedprompt.federation import class_logits
@@ -42,14 +41,14 @@ class TestSplits:
 
 class TestGap:
     def test_known_values(self):
-        assert abs(generalization_gap(96.84, 95.41) - (-1.43)) < 1e-9
-        assert abs(generalization_gap(71.60, 78.30) - 6.70) < 1e-9
+        assert abs(EvalResult(96.84, 95.41).gap - (-1.43)) < 1e-9
+        assert abs(EvalResult(71.60, 78.30).gap - 6.70) < 1e-9
 
     def test_antisymmetry(self):
-        assert generalization_gap(3.0, 7.5) == -generalization_gap(7.5, 3.0)
+        assert EvalResult(3.0, 7.5).gap == -EvalResult(7.5, 3.0).gap
 
     def test_equal_inputs(self):
-        assert generalization_gap(50.0, 50.0) == 0.0
+        assert EvalResult(50.0, 50.0).gap == 0.0
 
 
 class TestEvaluate:
@@ -113,7 +112,6 @@ class TestFeatures:
 
 class TestBothSplits:
     def test_result_fields(self, world):
-        res = evaluate_both_splits(None, world, TRANS, 10, 0.01, seed=3, dataset_name="s")
+        res = evaluate_both_splits(None, world, TRANS, 10, 0.01, seed=3)
         assert isinstance(res, EvalResult)
-        assert res.dataset_name == "s"
         assert abs(res.gap - (res.new_acc - res.base_acc)) < 1e-9

@@ -105,7 +105,7 @@ class TestAttention:
         params = randomized_params(CFG16, 61)
         params["ffn_out"].set_value(np.zeros((CFG16.d_ffn, 16)))  # close the feed-forward
         emb = np.random.default_rng(8).standard_normal((1, 16))
-        out = translate_one(params, CFG16, ag.constant(emb)).value
+        out = translate_one(params, CFG16, emb).value
         row = (emb @ params["W_v"].value) @ params["W_o"].value
         expected = params["queries"].value + np.repeat(row, 4, axis=0)
         assert np.max(np.abs(out - expected)) < 1e-12
@@ -115,17 +115,17 @@ class TestForward:
     def test_context_equals_queries_at_init(self):
         params = init_translator_params(CFG16, 3)
         emb = np.random.default_rng(0).standard_normal((1, 16))
-        out = translate_one(params, CFG16, ag.constant(emb))
+        out = translate_one(params, CFG16, emb)
         assert np.array_equal(out.value, params["queries"].value)
 
     def test_wrong_width_rejected(self):
         params = init_translator_params(CFG16, 3)
         for shape in ((2, 8), (1, 17), (0, 16)):
             with pytest.raises(DimensionError):
-                translate_one(params, CFG16, ag.constant(np.ones(shape)))
+                translate_one(params, CFG16, np.ones(shape))
 
     def test_params_of_another_shape_rejected(self):
-        emb = ag.constant(np.ones((2, 16)))
+        emb = np.ones((2, 16))
         for cfg in (TranslatorConfig(d_model=16, n_ctx=2, ffn_mult=2),
                     TranslatorConfig(d_model=16, n_ctx=4, ffn_mult=1)):
             with pytest.raises(DimensionError):
@@ -134,22 +134,22 @@ class TestForward:
     def test_batch_output_shape(self):
         params = init_translator_params(CFG16, 9)
         emb = np.random.default_rng(4).standard_normal((5, 16))
-        assert translate_one(params, CFG16, ag.constant(emb)).shape == (20, 16)
+        assert translate_one(params, CFG16, emb).shape == (20, 16)
 
     def test_batch_rows_are_single_class_contexts(self):
         params = randomized_params(CFG16, 21)
         emb = np.random.default_rng(6).standard_normal((3, 16))
-        batched = translate_one(params, CFG16, ag.constant(emb)).value
+        batched = translate_one(params, CFG16, emb).value
         for i in range(3):
-            one = translate_one(params, CFG16, ag.constant(emb[i : i + 1])).value
+            one = translate_one(params, CFG16, emb[i : i + 1]).value
             assert np.max(np.abs(batched[4 * i : 4 * i + 4] - one)) < 1e-12
 
     def test_distinct_kv_give_distinct_context(self):
         params = randomized_params(CFG16, 41)
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((1, 16)), rng.standard_normal((1, 16))
-        ctx_a = translate_one(params, CFG16, ag.constant(a)).value
-        ctx_b = translate_one(params, CFG16, ag.constant(b)).value
+        ctx_a = translate_one(params, CFG16, a).value
+        ctx_b = translate_one(params, CFG16, b).value
         assert not np.array_equal(ctx_a, ctx_b)
 
 
@@ -163,23 +163,23 @@ class TestGradients:
         v = ag.constant(probe_rng.standard_normal((8, 1)))
 
         def loss():
-            out = translate_one(params, cfg, ag.constant(kv))
+            out = translate_one(params, cfg, kv)
             return ref.matmul(ref.matmul(u, out), v)
 
         assert grad_check(loss, params) < 1e-6
 
     def test_every_gradient_matches_reference_at_three_classes(self):
-        # the block is one node whose rule returns eight gradients: the
-        # embedding's and the seven parameters'
+        # the block is one node whose parents are the seven parameters; the
+        # embedding is data and gets no gradient
         params = randomized_params(CFG16, 52)
         rng = np.random.default_rng(9)
         emb = Parameter("emb", rng.standard_normal((3, 16)))
         probe = rng.standard_normal((12, 16))
-        out = translate_one(params, CFG16, emb)
-        assert out.op == "translate" and len(out.parents) == 8
+        out = translate_one(params, CFG16, emb.value)
+        assert out.op == "translate" and len(out.parents) == 7
         ag.backward(ref.probe_sum(out, probe))
-        fused = {name: p.grad.copy() for name, p in [("emb", emb), *params.items()]}
+        fused = {name: p.grad.copy() for name, p in params.items()}
         ag.backward(ref.probe_sum(ref.translate_one(params, CFG16, emb), probe))
-        for name, p in [("emb", emb), *params.items()]:
+        for name, p in params.items():
             scale = np.abs(p.grad).max()
             assert np.max(np.abs(fused[name] - p.grad)) / scale < 1e-12, name
