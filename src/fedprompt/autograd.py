@@ -13,7 +13,9 @@ federation.class_logits.  The first two take their exact GELU from
 gelu_cdf and gelu_slope here, so the backward pass reuses the forward's
 erf.  Every op works on any leading axes: a 2-D matrix is one client's,
 and a leading axis stacks clients that share nothing but the code, so a
-round's clients can take each step as one graph.
+round's clients can take each step as one graph.  grad_check stacks the
+same way: its central differences perturb up to GRAD_CHECK_COORDS
+coordinates at once, as that many pairs of parameter sets in one loss.
 
 All math is float64 on plain, read-only ndarrays: node values and the
 gradients backward() stores are frozen, so an array may be shared
@@ -297,19 +299,39 @@ def backward(root: DiffNode) -> None:
             acc[id(parent)] = pg if prev is None else prev + pg
 
 
+# Coordinates of one tensor that grad_check perturbs in one loss
+# evaluation, so each evaluation stacks 2 * GRAD_CHECK_COORDS value sets.
+# Measured on a 2-core host: 64 left the peak RSS of a train, eval and
+# gradcheck cycle unchanged, where 256 raised it by 3 MB.
+GRAD_CHECK_COORDS = 64
+
+
 def grad_check(
-    loss_fn: Callable[[], DiffNode],
+    loss_fn: Callable[[], Loss],
     params: ParameterSet,
     h: float = 1e-5,
 ) -> float:
     """Compare analytic gradients against central differences.
 
-    loss_fn rebuilds the graph from the current parameter values and
-    returns the scalar loss node.  Returns the worst relative error over
-    every coordinate of every parameter, where the relative error uses
-    max(|analytic|, |numeric|, 1e-8) as the denominator.  A non-finite
-    analytic gradient raises NumericError: compared as above it would
-    read as an error of zero.
+    loss_fn rebuilds the loss from the current parameter values and
+    returns its cross_entropy node.  It must broadcast its data over the
+    parameters' leading axes: with plain values it is one loss, and with
+    every value stacked [n, *shape] it is n independent losses, read from
+    Loss.means (a loss whose means are not shaped (n,) raises
+    DimensionError).
+
+    The analytic gradients come from one backward pass over the plain
+    values; a non-finite one raises NumericError, since compared as below
+    it would read as an error of zero.  The central differences take up
+    to GRAD_CHECK_COORDS coordinates of one tensor per loss evaluation:
+    that tensor holds a fresh stack with base + h at coordinate i in set
+    2j and base - h in set 2j + 1, every other tensor a read-only
+    broadcast of its value.  Since the sets never mix, each difference
+    is the float a loss per coordinate would give.  Returns the worst
+    relative error over every coordinate of every parameter, where the
+    relative error uses max(|analytic|, |numeric|, 1e-8) as the
+    denominator.  Every Parameter gets its own value array back, also
+    when loss_fn raises.
     """
     for p in params:
         p.grad = None
@@ -319,22 +341,33 @@ def grad_check(
                 for name, p in params.items()}
     for name, g in analytic.items():
         require_finite(g, f"gradient of {name!r} has non-finite values")
+    originals = {name: p.value for name, p in params.items()}
     worst = 0.0
-    for name, p in params.items():
-        base = p.value.copy()
-        flat = base.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            p.set_value(base)
-            lo_hi = loss_fn().value.item()
-            flat[i] = keep - h
-            p.set_value(base)
-            lo_lo = loss_fn().value.item()
-            flat[i] = keep
-            p.set_value(base)
-            numeric = (lo_hi - lo_lo) / (2.0 * h)
-            a = float(analytic[name].reshape(-1)[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
+    try:
+        for name, p in params.items():
+            base = originals[name].reshape(-1)
+            for start in range(0, base.size, GRAD_CHECK_COORDS):
+                coords = np.arange(start, min(start + GRAD_CHECK_COORDS, base.size))
+                n = 2 * coords.size
+                for q in params:
+                    value = originals[q.name]
+                    q.value = np.broadcast_to(value, (n, *value.shape))
+                stack = np.repeat(base[None], n, axis=0)
+                keep = base[coords]
+                rows = 2 * np.arange(coords.size)
+                stack[rows, coords] = keep + h
+                stack[rows + 1, coords] = keep - h
+                p.set_value(stack.reshape(n, *originals[name].shape), copy=False)
+                means = getattr(loss_fn(), "means", None)
+                if np.shape(means) != (n,):
+                    raise DimensionError(
+                        f"grad_check needs {n} stacked losses, got shape {np.shape(means)}"
+                    )
+                numeric = (means[0::2] - means[1::2]) / (2.0 * h)
+                a = analytic[name].reshape(-1)[coords]
+                err = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
+                worst = max(worst, float(err.max()))
+    finally:
+        for q in params:
+            q.value = originals[q.name]
     return worst

@@ -63,12 +63,15 @@ GRADCHECK_HEAD_SCALE = 2.0
 GRADCHECK_RAND_STD = 1.0
 
 
-def _grad_check_instance() -> tuple[ParameterSet, Callable[[], ag.DiffNode]]:
+def _grad_check_instance() -> tuple[ParameterSet, Callable[[], ag.Loss]]:
     """Parameters and loss of the composite probe instance.
 
     The loss covers the whole composite: context generation, the frozen
     text head, cosine scoring, and cross-entropy, at width 16 with 4
-    context vectors over a 2-image batch.
+    context vectors over a 2-image batch.  It broadcasts its class ids,
+    images and labels over the leading axes of the parameter values, as
+    grad_check asks: plain values give the one probe loss, values stacked
+    [n, *shape] give n losses over the same batch.
     """
     seed = GRADCHECK_SEED
     # noise levels pinned so recalibrating the production defaults
@@ -93,10 +96,15 @@ def _grad_check_instance() -> tuple[ParameterSet, Callable[[], ag.DiffNode]]:
     )
     images /= np.linalg.norm(images, axis=1, keepdims=True)
     labels = np.array([0, 1])
+    class_ids = np.array(world.base_ids)
 
     def loss_fn():
-        logits = class_logits(params, tcfg, world, list(world.base_ids), images, 1.0)
-        return ag.cross_entropy(logits, labels)
+        lead = params["queries"].value.shape[:-2]
+        logits = class_logits(
+            params, tcfg, world, np.broadcast_to(class_ids, lead + class_ids.shape),
+            np.broadcast_to(images, lead + images.shape), 1.0,
+        )
+        return ag.cross_entropy(logits, np.broadcast_to(labels, lead + labels.shape))
 
     return params, loss_fn
 

@@ -19,14 +19,20 @@ the direct way, one client after another, are sgd_step (new arrays for
 velocity and value), fedavg (over flatten() vectors, with unflatten to
 rebuild the set) and local_update (one client on a private copy of
 every value, through class_logits above), so the tests can hold the
-package to them bitwise.  Nothing here is used outside tests/.
+package to them bitwise.
+
+The package's grad_check evaluates its central differences as stacked
+parameter sets.  grad_check here is the per-coordinate loop it
+replaced, one loss per perturbed value, so it also checks losses that
+only take 2-D operands, like the small ops above, and the tests can
+hold the stacked check to it.  Nothing here is used outside tests/.
 """
 
 import numpy as np
 from scipy.special import erf
 
 from fedprompt import autograd as ag
-from fedprompt.autograd import DiffNode, Parameter, ParameterSet
+from fedprompt.autograd import DiffNode, Parameter, ParameterSet, require_finite
 from fedprompt.errors import DimensionError
 from fedprompt.federation import ClientUpdate, class_text_features as fused_features
 from fedprompt.translator import LAYER_NORM_EPS
@@ -236,3 +242,39 @@ def local_update(global_params, world, dataset, opt_cfg, trans_cfg, epochs, lr, 
             sgd_step(params, velocity, lr, opt_cfg)
             losses.append(loss.value.item())
     return ClientUpdate(client_id, params, float(np.mean(losses)))
+
+
+def grad_check(loss_fn, params: ParameterSet, h: float = 1e-5) -> float:
+    """autograd.grad_check with one scalar loss evaluation per perturbed
+    coordinate value; loss_fn needs to take only the plain values."""
+    for p in params:
+        p.grad = None
+    ag.backward(loss_fn())
+    analytic = {name: p.grad if p.grad is not None else np.zeros(p.shape)
+                for name, p in params.items()}
+    for name, g in analytic.items():
+        require_finite(g, f"gradient of {name!r} has non-finite values")
+    originals = {name: p.value for name, p in params.items()}
+    worst = 0.0
+    try:
+        for name, p in params.items():
+            base = originals[name].copy()
+            flat = base.reshape(-1)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + h
+                p.set_value(base)
+                lo_hi = loss_fn().value.item()
+                flat[i] = keep - h
+                p.set_value(base)
+                lo_lo = loss_fn().value.item()
+                flat[i] = keep
+                numeric = (lo_hi - lo_lo) / (2.0 * h)
+                a = float(analytic[name].reshape(-1)[i])
+                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+                worst = max(worst, err)
+            p.value = originals[name]
+    finally:
+        for p in params:
+            p.value = originals[p.name]
+    return worst

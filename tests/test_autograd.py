@@ -19,6 +19,7 @@ from reference_graph import (
     add,
     geglu,
     gelu,
+    grad_check as loop_grad_check,
     l2_normalize,
     layer_norm,
     matmul,
@@ -219,7 +220,7 @@ def check_unary(op, shape, seed, **kwargs):
     rng = np.random.default_rng(seed)
     x = Parameter("x", rng.standard_normal(shape))
     params = ParameterSet([x])
-    err = grad_check(lambda: probe(op(x, **kwargs) if kwargs else op(x), seed + 1), params)
+    err = loop_grad_check(lambda: probe(op(x, **kwargs) if kwargs else op(x), seed + 1), params)
     assert err < 1e-6, f"{op.__name__}: max relative error {err}"
 
 
@@ -239,7 +240,7 @@ class TestGradCheckPerOp:
         a = Parameter("a", rng.standard_normal((3, 4)))
         b = Parameter("b", rng.standard_normal((3, 4)))
         params = ParameterSet([a, b])
-        err = grad_check(lambda: probe(add(scale(add(a, b), 2.5), scale(b, -1.0)), 5), params)
+        err = loop_grad_check(lambda: probe(add(scale(add(a, b), 2.5), scale(b, -1.0)), 5), params)
         assert err < 1e-6
 
     def test_matmul(self):
@@ -247,7 +248,7 @@ class TestGradCheckPerOp:
         a = Parameter("a", rng.standard_normal((3, 5)))
         b = Parameter("b", rng.standard_normal((5, 2)))
         params = ParameterSet([a, b])
-        err = grad_check(lambda: probe(matmul(a, b), 6), params)
+        err = loop_grad_check(lambda: probe(matmul(a, b), 6), params)
         assert err < 1e-6
 
     def test_transpose(self):
@@ -268,7 +269,7 @@ class TestGradCheckPerOp:
         gain = Parameter("gain", rng.standard_normal(6))
         bias = Parameter("bias", rng.standard_normal(6))
         params = ParameterSet([x, gain, bias])
-        err = grad_check(lambda: probe(layer_norm(x, gain, bias), 11), params)
+        err = loop_grad_check(lambda: probe(layer_norm(x, gain, bias), 11), params)
         assert err < 1e-6
 
     def test_cross_entropy(self):
@@ -276,7 +277,7 @@ class TestGradCheckPerOp:
         x = Parameter("x", rng.standard_normal((4, 6)))
         labels = [0, 5, 2, 2]
         params = ParameterSet([x])
-        err = grad_check(lambda: cross_entropy(x, labels), params)
+        err = loop_grad_check(lambda: cross_entropy(x, labels), params)
         assert err < 1e-6
 
     def test_deep_composition(self):
@@ -294,8 +295,58 @@ class TestGradCheckPerOp:
             logits = matmul(h, transpose(w))
             return cross_entropy(scale(logits, 3.0), [1, 0, 3])
 
-        err = grad_check(loss, params)
+        err = loop_grad_check(loss, params)
         assert err < 1e-6
+
+
+class TestGradCheckStack:
+    """The package's grad_check evaluates its central differences as
+    stacked parameter sets; the loss has to broadcast over them."""
+
+    def test_equals_reference_loop_over_several_chunks(self):
+        # 140 coordinates: two full stacks and a part one
+        x = Parameter("x", np.random.default_rng(14).standard_normal((20, 7)))
+        params = ParameterSet([x])
+        labels = np.arange(20) % 7
+
+        def loss():
+            return cross_entropy(x, np.broadcast_to(labels, x.value.shape[:-1]))
+
+        assert grad_check(loss, params) == loop_grad_check(loss, params)
+
+    @pytest.mark.parametrize("check", [grad_check, loop_grad_check])
+    def test_values_restored_when_loss_raises(self, check):
+        rng = np.random.default_rng(15)
+        x = Parameter("x", rng.standard_normal((2, 3)))
+        y = Parameter("y", rng.standard_normal(3))
+        params = ParameterSet([x, y])
+        before = {name: p.value for name, p in params.items()}
+        calls = 0
+
+        def loss():
+            nonlocal calls
+            calls += 1
+            if calls > 1:
+                raise NumericError("loss failed on a perturbed value")
+            return cross_entropy(x, [0, 2])
+
+        with pytest.raises(NumericError):
+            check(loss, params)
+        assert calls == 2
+        for name, p in params.items():
+            assert p.value is before[name], name
+
+    def test_loss_ignoring_stack_raises(self):
+        x = Parameter("x", np.ones((1, 2)))
+        before = x.value
+
+        # one loss whatever x holds: nothing to read the differences from
+        def loss():
+            return cross_entropy(constant(np.zeros((1, 2))), [0])
+
+        with pytest.raises(DimensionError, match="4 stacked losses"):
+            grad_check(loss, ParameterSet([x]))
+        assert x.value is before
 
 
 class TestParameterSet:

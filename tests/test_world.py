@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedprompt import autograd as ag
-from fedprompt.autograd import Parameter, ParameterSet, grad_check
+from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.errors import ConfigError, DimensionError, NumericError
 from fedprompt.seeding import rng_for
 from fedprompt.world import (
@@ -214,7 +214,7 @@ class TestTextFeature:
             feats = text_feature(world.head, emb, ctx)
             return ref.matmul(ag.constant(np.ones((1, 2))), ref.matmul(feats, ag.constant(probe)))
 
-        assert grad_check(loss, params) < 1e-6
+        assert ref.grad_check(loss, params) < 1e-6
 
 
 class TestPersistence:
