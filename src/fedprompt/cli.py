@@ -8,8 +8,9 @@ files (two CSV tables, the summary JSON and two SVG charts), and
 gradcheck/selftest are built-in health probes.
 
 Exit codes: 0 on success, 1 for usage, configuration and contract errors
-(an empty path option is refused before any work), 2 for I/O and file
-format errors.
+(an empty path option, or an output option naming the file of another
+path option, is refused before any work), 2 for I/O and file format
+errors.
 """
 
 import argparse
@@ -115,6 +116,19 @@ def _add_config_options(p: _Parser):
     )
 
 
+def _refuse_shared_paths(a, outputs, inputs) -> None:
+    """Refuse, before any file is opened, an output option that names the
+    file of another path option of the command: writing one would
+    destroy the other."""
+    first = {}  # real path -> the first option naming it
+    for flag in (*outputs, *inputs):
+        if (path := getattr(a, flag[2:])) is not None:
+            real = os.path.realpath(path)
+            if first.get(real) in outputs:
+                raise ContractError(f"{first[real]} and {flag} name the same file {real}")
+            first.setdefault(real, flag)
+
+
 def _world_for(cfg, world_path):
     """The experiment's world: loaded from a stored file made under the
     same world keys, or rebuilt."""
@@ -130,6 +144,7 @@ def _cmd_make_world(args) -> int:
     _add_config_options(p)
     p.add_argument("--out", type=_path, default="world.ftpe", metavar="PATH")
     a = p.parse_args(args)
+    _refuse_shared_paths(a, ("--out",), ("--config",))
     cfg = load_config(a.config, a.overrides)
     world = build_world(cfg.world)
     save_embeddings(a.out, world_arrays(world), canonical_text(cfg))
@@ -149,6 +164,7 @@ def _cmd_train(args) -> int:
     p.add_argument("--checkpoint", type=_path, default="model.ftpg", metavar="PATH")
     p.add_argument("--log", type=_path, default="train_log.jsonl", metavar="PATH")
     a = p.parse_args(args)
+    _refuse_shared_paths(a, ("--checkpoint", "--log"), ("--config", "--world"))
     cfg = load_config(a.config, a.overrides)
     world = _world_for(cfg, a.world)
     blocks = partition_classes(
@@ -210,6 +226,7 @@ def _cmd_eval(args) -> int:
         help="override keys from the checkpoint's embedded config",
     )
     a = p.parse_args(args)
+    _refuse_shared_paths(a, ("--out",), ("--checkpoint", "--world"))
     params, echo = load_checkpoint(a.checkpoint)
     values = parse_config_text(echo, source=f"{a.checkpoint} config")
     cfg = build_config(apply_overrides(values, a.overrides))
@@ -245,13 +262,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_report(args) -> int:
     p = _parser("report", "Write the reference comparison tables and charts.")
-    _add_config_options(p)
     p.add_argument(
-        "--out-dir", type=_path, metavar="DIR", help="default: the configured report_dir"
+        "--out-dir", type=_path, default="reports", metavar="DIR", help="default: reports"
     )
-    a = p.parse_args(args)
-    cfg = load_config(a.config, a.overrides)
-    out_dir = a.out_dir if a.out_dir is not None else cfg.report_dir
+    out_dir = p.parse_args(args).out_dir
     summary = summarize(fixture_results())
     table = compare_to_reference(summary)
     files = {

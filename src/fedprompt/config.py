@@ -5,8 +5,8 @@ each key's one-line description; its type and default are read from
 that field, so the parser, the serializer and the documentation cannot
 drift apart.  A config file lists any subset of keys, later lines
 override earlier ones, unknown keys are hard errors naming the key and
-line, and --set overrides apply after the file.  String values may be
-neither empty nor broken over lines.
+line, and --set overrides apply after the file.  Every key is an int or
+a float, so every value is one number.
 
 canonical_text() serializes a config as sorted key=value lines; that
 text is what checkpoints embed, and parsing it back reproduces the
@@ -36,7 +36,6 @@ class ExperimentConfig:
     local_epochs: int = 1
     fraction: float = 1.0
     n_test: int = 50
-    report_dir: str = "reports"
     master_seed: int = 0
 
     def __post_init__(self):
@@ -56,6 +55,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.fraction <= 1.0:
             raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
+        # seeds are hashed as 8-byte two's complement
+        if not -2**63 <= self.master_seed < 2**63:
+            raise ConfigError(f"master_seed must be in [-2**63, 2**63), got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,6 @@ _DOCS = {
     "federation.local_epochs": "local passes per round",
     "federation.fraction": "participating fraction of clients per round",
     "eval.n_test": "test samples per class",
-    "eval.report_dir": "output directory for report files",
 }
 
 
@@ -131,7 +132,13 @@ def default_values() -> dict[str, object]:
     return {key: spec.default for key, spec in KEYS.items()}
 
 
-def _parse_value(key: str, raw: str, where: str):
+def _assign(values: dict[str, object], item: str, where: str) -> None:
+    """Parse one key=value item into values; where names its source."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key=value, got {item!r}")
+    key, raw = (part.strip() for part in item.split("=", 1))
+    if key not in KEYS:
+        raise ConfigError(f"unknown config key {key!r} ({where})")
     spec = KEYS[key]
     try:
         value = spec.type(raw)
@@ -141,13 +148,7 @@ def _parse_value(key: str, raw: str, where: str):
         ) from None
     if spec.type is float and not math.isfinite(value):
         raise ConfigError(f"non-finite value for {key!r} ({where}): {raw!r}")
-    # a str value names a directory (eval.report_dir), and empty names none
-    if spec.type is str and not value:
-        raise ConfigError(f"empty value for {key!r} ({where})")
-    # the echo holds one key per line, split as parse_config_text splits it
-    if spec.type is str and len(value.splitlines()) > 1:
-        raise ConfigError(f"line break in value for {key!r} ({where}): {raw!r}")
-    return value
+    values[key] = value
 
 
 def parse_config_text(text: str, source: str = "config") -> dict[str, object]:
@@ -155,15 +156,8 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, object]:
     values = default_values()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source} line {lineno}: expected key=value, got {stripped!r}")
-        key, raw = stripped.split("=", 1)
-        key, raw = key.strip(), raw.strip()
-        if key not in KEYS:
-            raise ConfigError(f"unknown config key {key!r} ({source} line {lineno})")
-        values[key] = _parse_value(key, raw, f"{source} line {lineno}")
+        if stripped and not stripped.startswith("#"):
+            _assign(values, stripped, f"{source} line {lineno}")
     return values
 
 
@@ -171,13 +165,7 @@ def apply_overrides(values: dict[str, object], overrides: Iterable[str]) -> dict
     """--set key=value pairs, applied after the file."""
     out = dict(values)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        key, raw = key.strip(), raw.strip()
-        if key not in KEYS:
-            raise ConfigError(f"unknown config key {key!r} (--set)")
-        out[key] = _parse_value(key, raw, "--set")
+        _assign(out, item, "--set")
     return out
 
 
@@ -211,16 +199,10 @@ def config_values(cfg: ExperimentConfig) -> dict[str, object]:
     return values
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Sorted key=value serialization; parsing it back is the identity."""
     values = config_values(cfg)
-    return "".join(f"{key}={_format_value(values[key])}\n" for key in sorted(values))
+    return "".join(f"{key}={values[key]!r}\n" for key in sorted(values))
 
 
 def check_world_echo(echo: str, cfg: ExperimentConfig, source: str) -> None:
@@ -232,7 +214,7 @@ def check_world_echo(echo: str, cfg: ExperimentConfig, source: str) -> None:
     stored = dict(line.split("=", 1) for line in echo.splitlines() if "=" in line)
     values = config_values(cfg)
     for key in WORLD_KEYS:
-        want = _format_value(values[key])
+        want = repr(values[key])
         if stored.get(key) != want:
             got = f"{key}={stored[key]}" if key in stored else f"no {key} line"
             raise ConfigError(f"{source}: world was made with {got}, but this run has {key}={want}")

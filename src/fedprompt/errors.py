@@ -1,9 +1,9 @@
 """Error taxonomy shared across the package.
 
-Contract violations (bad shapes, bad config values, exhausted capacity)
-raise ContractError subclasses and map to CLI exit code 1.  Problems with
-on-disk bytes (truncated or corrupt containers, malformed config files)
-raise FormatError subclasses and map to exit code 2.
+Contract violations (bad shapes, bad or inconsistent config values,
+including malformed config lines) raise ContractError subclasses and map
+to CLI exit code 1.  Problems with on-disk container bytes (truncated or
+corrupt files) raise FormatError subclasses and map to exit code 2.
 """
 
 
@@ -17,10 +17,6 @@ class DimensionError(ContractError):
 
 class ConfigError(ContractError):
     """A configuration value is missing, unknown, or out of range."""
-
-
-class CapacityError(ContractError):
-    """A request asks for more items than the pool can provide."""
 
 
 class NumericError(ContractError):

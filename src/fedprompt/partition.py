@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedprompt.errors import CapacityError, ConfigError
+from fedprompt.errors import ConfigError
 from fedprompt.seeding import rng_for
 from fedprompt.world import SyntheticWorld, sample_image
 
@@ -30,7 +30,7 @@ def partition_classes(
         raise ConfigError("n_clients and classes_per_client must be positive")
     need = n_clients * classes_per_client
     if need > n_base:
-        raise CapacityError(
+        raise ConfigError(
             f"{n_clients} clients x {classes_per_client} classes need {need} "
             f"base classes, only {n_base} available"
         )

@@ -13,7 +13,13 @@ import fedprompt
 from fedprompt import cli, container
 from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.cli import main
-from fedprompt.config import canonical_text, extract_round, load_config, with_round_marker
+from fedprompt.config import (
+    KEYS,
+    canonical_text,
+    extract_round,
+    load_config,
+    with_round_marker,
+)
 from fedprompt.container import (
     load_checkpoint,
     load_embeddings_file,
@@ -62,7 +68,6 @@ def _train(tmp_path, tiny_cfg, *extra):
 # work if the empty path got through
 EMPTY_PATH_CASES = [
     ("report", "--out-dir", []),
-    ("report", "--config", []),
     ("eval", "--out", ["--checkpoint", "model.ftpg"]),
     ("eval", "--checkpoint", []),
     ("eval", "--world", ["--checkpoint", "model.ftpg"]),
@@ -177,6 +182,19 @@ class TestMakeWorld:
             assert "world.sigma_text" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [Path(tiny_cfg)]
 
+    @pytest.mark.parametrize("seed, code",
+                             [(2**63, 1), (-2**63 - 1, 1), (2**63 - 1, 0), (-2**63, 0)])
+    def test_master_seed_bounds(self, tmp_path, tiny_cfg, capsys, seed, code):
+        # seeds are hashed as 8-byte two's complement
+        out = tmp_path / "w.ftpe"
+        args = ["make-world", "--config", tiny_cfg, "--set", f"master_seed={seed}"]
+        assert main([*args, "--out", str(out)]) == code
+        if code:
+            assert "master_seed" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert f"master_seed={seed}" in load_embeddings_file(str(out))[1]
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, tmp_path, tiny_cfg):
@@ -252,11 +270,11 @@ class TestTrain:
         assert open(ckpt_a, "rb").read() == open(ckpt_b, "rb").read()
 
     def test_line_break_in_value_writes_nothing(self, tmp_path, tiny_cfg, capsys):
-        code = main(["train", "--config", tiny_cfg, "--set", "eval.report_dir=a\nb",
+        code = main(["train", "--config", tiny_cfg, "--set", "federation.rounds=1\n2",
                      "--checkpoint", str(tmp_path / "model.ftpg"),
                      "--log", str(tmp_path / "log.jsonl")])
         assert code == 1
-        assert "eval.report_dir" in capsys.readouterr().err
+        assert "malformed value for 'federation.rounds'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [Path(tiny_cfg)]
 
     def test_failed_checkpoint_write_keeps_previous_bytes(self, tmp_path, tiny_cfg, monkeypatch):
@@ -409,6 +427,17 @@ class TestEval:
         assert "translator.kv_len" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_checkpoint_with_report_dir_key_refused(self, tmp_path, capsys):
+        # echo written while the report directory was a config key
+        cfg = load_config(None, ["world.d=16"])
+        echo = canonical_text(cfg) + "eval.report_dir=reports\n"
+        ckpt = str(tmp_path / "old.ftpg")
+        save_checkpoint(ckpt, init_translator_params(cfg.translator, 0),
+                        with_round_marker(echo, 50))
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", ckpt, "--out", str(out)]) == 1
+        assert "unknown config key 'eval.report_dir'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowing_checkpoint_refused(self, tmp_path):
         # finite weights whose products overflow in the forward pass; the
@@ -478,17 +507,15 @@ class TestReport:
         }
         assert got == pinned
 
-    def test_report_dir_from_config(self, tmp_path, monkeypatch):
+    def test_report_takes_only_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["report", "--set", "eval.report_dir=figs"]) == 0
-        assert (tmp_path / "figs" / "summary.csv").exists()
-
-    def test_empty_report_dir_refused_creating_nothing(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        code = main(["report", "--set", "eval.report_dir="])
-        assert code == 1
-        assert "eval.report_dir" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "run.cfg").write_text("eval.n_test=3\n")
+        for option in (["--config", "run.cfg"], ["--set", "eval.n_test=3"]):
+            assert main(["report", *option]) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+        assert main(["report"]) == 0
+        assert (tmp_path / "reports" / "summary.csv").exists()
 
 
 class TestSelftest:
@@ -497,3 +524,96 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "6/6 passed" in out
         assert "FAIL" not in out
+
+
+class TestSharedPaths:
+    """An output option naming another path option's file is refused
+    before any file is opened, and the other file keeps its bytes."""
+
+    def test_eval_out_naming_the_checkpoint(self, tmp_path, tiny_cfg, capsys):
+        ckpt, _ = _train(tmp_path, tiny_cfg)
+        before = Path(ckpt).read_bytes()
+        link = tmp_path / "link.json"
+        link.symlink_to(ckpt)
+        for out in (ckpt, str(link)):
+            assert main(["eval", "--checkpoint", ckpt, "--out", out]) == 1
+            assert "--out and --checkpoint name the same file" in capsys.readouterr().err
+        assert Path(ckpt).read_bytes() == before
+
+    def test_train_checkpoint_naming_the_world(self, tmp_path, tiny_cfg, capsys):
+        world_file = tmp_path / "w.ftpe"
+        assert main(["make-world", "--config", tiny_cfg, "--out", str(world_file)]) == 0
+        before = world_file.read_bytes()
+        code = main(["train", "--config", tiny_cfg, "--world", str(world_file),
+                     "--checkpoint", str(world_file), "--log", str(tmp_path / "log.jsonl")])
+        assert code == 1
+        assert "--checkpoint and --world name the same file" in capsys.readouterr().err
+        assert world_file.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == sorted([Path(tiny_cfg), world_file])
+
+    def test_train_log_naming_the_checkpoint(self, tmp_path, tiny_cfg, capsys):
+        _, log = _train(tmp_path, tiny_cfg)
+        before = Path(log).read_bytes()
+        code = main(["train", "--config", tiny_cfg, "--checkpoint", log, "--log", log])
+        assert code == 1
+        assert "--checkpoint and --log name the same file" in capsys.readouterr().err
+        assert Path(log).read_bytes() == before
+
+
+# for each key, a valid value other than the one the run below uses
+VARIED = {
+    "master_seed": "8",
+    "world.d": "8",
+    "world.n_base": "7",
+    "world.n_new": "3",
+    "world.sigma_img": "0.5",
+    "world.sigma_text": "0.1",
+    "world.interp_lo": "0.4",
+    "world.interp_hi": "0.6",
+    "translator.n_ctx": "2",
+    "translator.ffn_mult": "2",
+    "optimizer.lr0": "0.05",
+    "optimizer.momentum": "0.5",
+    "optimizer.weight_decay": "0.01",
+    "optimizer.batch_size": "4",
+    "optimizer.temperature": "0.25",
+    "federation.n_clients": "1",
+    "federation.classes_per_client": "2",
+    "federation.shots": "3",
+    "federation.rounds": "1",
+    "federation.local_epochs": "2",
+    "federation.fraction": "0.5",
+    "eval.n_test": "4",
+}
+
+
+def _results(run_dir, tiny_cfg, *overrides):
+    """What a world, a training run and an evaluation produce, without the
+    config echoes the files carry."""
+    run_dir.mkdir()
+    world_file, ckpt, log, out = (
+        str(run_dir / name) for name in ("w.ftpe", "model.ftpg", "log.jsonl", "eval.json")
+    )
+    # each client takes at least two steps a round, so momentum acts
+    sets = [arg for item in ("optimizer.batch_size=5", *overrides) for arg in ("--set", item)]
+    assert main(["make-world", "--config", tiny_cfg, *sets, "--out", world_file]) == 0
+    assert main(["train", "--config", tiny_cfg, *sets, "--world", world_file,
+                 "--checkpoint", ckpt, "--log", log]) == 0
+    assert main(["eval", "--checkpoint", ckpt, "--world", world_file, "--out", out]) == 0
+    arrays, _ = load_embeddings_file(world_file)
+    params, _ = load_checkpoint(ckpt)
+    return (
+        {name: (a.shape, a.tobytes()) for name, a in arrays.items()},
+        {p.name: (p.value.shape, p.value.tobytes()) for p in params},
+        Path(log).read_bytes(),
+        Path(out).read_bytes(),
+    )
+
+
+def test_every_config_key_changes_a_result(tmp_path, tiny_cfg):
+    base = _results(tmp_path / "base", tiny_cfg)
+    unchanged = [
+        key for key in KEYS
+        if _results(tmp_path / key, tiny_cfg, f"{key}={VARIED[key]}") == base
+    ]
+    assert unchanged == []

@@ -77,7 +77,6 @@ NON_DEFAULT = {
     "federation.local_epochs": "2",
     "federation.fraction": "0.5",
     "eval.n_test": "9",
-    "eval.report_dir": "figs/run1",
 }
 
 
@@ -87,7 +86,7 @@ class TestKeyTable:
             section, _, name = key.rpartition(".")
             owner = SECTIONS.get(section, ExperimentConfig)
             (f,) = [f for f in dataclasses.fields(owner) if f.name == name]
-            assert spec.type in (int, float, str), key
+            assert spec.type in (int, float), key
             assert spec.type is f.type, key
             assert spec.default == f.default, key
 
@@ -143,8 +142,9 @@ class TestParsing:
         values = parse_config_text("optimizer.weight_decay=1e-4\n")
         assert values["optimizer.weight_decay"] == 1e-4
 
-    def test_string_value_passes_through(self):
-        assert parse_config_text("eval.report_dir=out/figs\n")["eval.report_dir"] == "out/figs"
+
+def _malformed(key, where):
+    return re.escape(f"malformed value for {key!r} ({where})")
 
 
 class TestOverrides:
@@ -161,32 +161,45 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="--set"):
             apply_overrides(default_values(), ["federation.rounds"])
 
+    # the value string of an int and of a float key, with a break inside
     @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x1c", "\u2028"])
     def test_line_break_in_string_value_rejected_naming_key(self, brk):
-        with pytest.raises(ConfigError, match=r"eval\.report_dir"):
-            apply_overrides(default_values(), [f"eval.report_dir=a{brk}b"])
+        for key, raw in (("federation.rounds", f"1{brk}2"), ("optimizer.lr0", f"0.1{brk}2")):
+            with pytest.raises(ConfigError, match=_malformed(key, "--set")):
+                apply_overrides(default_values(), [f"{key}={raw}"])
 
     def test_line_break_rejected_over_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("eval.report_dir=figs\n")
-        assert load_config(path).report_dir == "figs"
-        with pytest.raises(ConfigError, match=r"eval\.report_dir.*--set"):
-            load_config(path, ["eval.report_dir=figs\nb"])
+        path.write_text("federation.rounds=3\n")
+        assert load_config(path).rounds == 3
+        with pytest.raises(ConfigError, match=_malformed("federation.rounds", "--set")):
+            load_config(path, ["federation.rounds=3\n4"])
         # the file's own lines are split first, so the tail is a bad line
-        path.write_text("eval.report_dir=figs\u2028b\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="line 2"):
+        path.write_text("federation.rounds=3\u20284\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"run\.cfg line 2: expected key=value, got '4'"):
             load_config(path)
 
+    # the value string left empty, or holding only blanks
     @pytest.mark.parametrize("raw", ["", "  ", "\t"])
     def test_empty_string_value_rejected_naming_key(self, raw):
-        with pytest.raises(ConfigError, match=r"empty value for 'eval\.report_dir' \(--set\)"):
-            apply_overrides(default_values(), [f"eval.report_dir={raw}"])
-        with pytest.raises(ConfigError, match=r"eval\.report_dir.*run\.cfg line 2"):
-            parse_config_text(f"federation.rounds=3\neval.report_dir={raw}\n", "run.cfg")
+        for key in ("federation.rounds", "optimizer.lr0"):
+            with pytest.raises(ConfigError, match=_malformed(key, "--set")):
+                apply_overrides(default_values(), [f"{key}={raw}"])
+            with pytest.raises(ConfigError, match=_malformed(key, "run.cfg line 2")):
+                parse_config_text(f"world.d=16\n{key}={raw}\n", "run.cfg")
 
     def test_outer_line_breaks_are_stripped(self):
-        values = apply_overrides(default_values(), ["eval.report_dir=figs\n"])
-        assert values["eval.report_dir"] == "figs"
+        overrides = ["federation.rounds=\n3\r\n", "optimizer.lr0=0.5\n"]
+        values = apply_overrides(default_values(), overrides)
+        assert values["federation.rounds"] == 3
+        assert values["optimizer.lr0"] == 0.5
+
+    def test_comment_marker_in_override_is_a_key(self):
+        # only file lines are comments; --set '#x=1' names an unknown key
+        with pytest.raises(ConfigError, match=r"unknown config key '#x' \(--set\)"):
+            apply_overrides(default_values(), ["#x=1"])
+        with pytest.raises(ConfigError, match=r"unknown config key '' \(--set\)"):
+            apply_overrides(default_values(), ["=1"])
 
     def test_malformed_override_value(self):
         with pytest.raises(ConfigError, match=r"federation\.rounds"):
@@ -238,7 +251,7 @@ class TestValidation:
 
 class TestCanonicalText:
     def test_round_trip_is_identity(self):
-        cfg = load_config(None, ["world.d=16", "optimizer.lr0=0.01", "eval.report_dir=figs"])
+        cfg = load_config(None, ["world.d=16", "optimizer.lr0=0.01", "master_seed=-3"])
         text = canonical_text(cfg)
         assert build_config(parse_config_text(text)) == cfg
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedprompt.errors import CapacityError, ConfigError
+from fedprompt.errors import ConfigError
 from fedprompt.partition import build_client_dataset, partition_classes
 from fedprompt.world import WorldConfig, build_world
 
@@ -37,7 +37,7 @@ class TestPartition:
         assert sum(len(b) for b in blocks) == 21
 
     def test_capacity_exceeded(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(ConfigError, match="need 60 base classes"):
             partition_classes(59, 6, 10, seed=7)
 
     def test_bad_counts(self):
