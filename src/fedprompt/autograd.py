@@ -9,13 +9,15 @@ same graph gives identical results.
 The only generic op is cross_entropy, the loss at the root.  The blocks
 of the model are single nodes with hand-written backward rules built on
 the same DiffNode: translator.translate_one, world.text_feature and
-federation.class_logits.  The first two take their exact GELU from
-gelu_cdf and gelu_slope here, so the backward pass reuses the forward's
-erf.  Every op works on any leading axes: a 2-D matrix is one client's,
-and a leading axis stacks clients that share nothing but the code, so a
-round's clients can take each step as one graph.  grad_check stacks the
-same way: its central differences perturb up to GRAD_CHECK_COORDS
-coordinates at once, as that many pairs of parameter sets in one loss.
+federation.class_logits.  The first two gate with CLIP's QuickGELU,
+x * sigmoid(1.702 x), taking the sigmoid from quick_gelu_gate and the
+derivative from quick_gelu_slope here, so the backward pass reuses the
+forward's sigmoid and evaluates no second exp.  Every op works on any
+leading axes: a 2-D matrix is one client's, and a leading axis stacks
+clients that share nothing but the code, so a round's clients can take
+each step as one graph.  grad_check stacks the same way: its central
+differences perturb up to GRAD_CHECK_COORDS coordinates at once, as that
+many pairs of parameter sets in one loss.
 
 All math is float64 on plain, read-only ndarrays: node values and the
 gradients backward() stores are frozen, so an array may be shared
@@ -33,12 +35,11 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from fedprompt.errors import DimensionError, NumericError, SchemaError
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# QuickGELU's sigmoid scale, as in CLIP's text transformer
+QUICK_GELU_SCALE = 1.702
 
 
 def require_finite(arr: np.ndarray, message: str) -> None:
@@ -185,15 +186,30 @@ def constant(value) -> DiffNode:
     return DiffNode(np.asarray(value, dtype=np.float64).view(), op="const")
 
 
-def gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF, the erf factor of the exact GELU x * cdf(x)."""
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+def quick_gelu_gate(x: np.ndarray) -> np.ndarray:
+    """sigmoid(1.702 x), the gate of QuickGELU x * sigmoid(1.702 x), as a
+    new array.
+
+    Computed as 1 / (1 + exp(-1.702 x)), which keeps its relative
+    precision as the gate goes to 0.  Below about -417 the exp overflows
+    to inf and the gate is exactly 0; the caller decides whether numpy
+    warns about that.
+    """
+    s = np.multiply(x, -QUICK_GELU_SCALE)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
-def gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Derivative of the exact GELU at x, given gelu_cdf(x) from the
-    forward pass, so a backward rule evaluates no second erf."""
-    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+def quick_gelu_slope(s: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Derivative of QuickGELU, s + 1.702 x s (1 - s), as a new array,
+    from the forward's gate s = quick_gelu_gate(x) and its output
+    xs = x * s, so a backward rule evaluates no second exp."""
+    slope = np.subtract(1.0, s)
+    slope *= xs
+    slope *= QUICK_GELU_SCALE
+    slope += s
+    return slope
 
 
 class Loss(DiffNode):

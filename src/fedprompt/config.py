@@ -185,8 +185,13 @@ def load_config(path=None, overrides: Iterable[str] = ()) -> ExperimentConfig:
     if path is None:
         values = default_values()
     else:
-        with open(path, "r", encoding="utf-8") as f:
-            values = parse_config_text(f.read(), source=str(path))
+        with open(path, "rb") as f:
+            raw = f.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text (at byte offset {e.start})") from None
+        values = parse_config_text(text, source=str(path))
     return build_config(apply_overrides(values, overrides))
 
 

@@ -56,8 +56,11 @@ def randomized_translator_params(cfg: TranslatorConfig, seed: int, std: float = 
 # correctness.  The seed maximizes the smallest nonzero gradient, the
 # frozen head is doubled so prompt-path gradients stay strong, and the
 # temperature is 1.0 because the production value saturates the class
-# probabilities and buries the differences in cancellation.  A wrong
-# gradient rule still fails by orders of magnitude on any instance.
+# probabilities and buries the differences in cancellation.  On the
+# doubled head QuickGELU's steep gate has a large third derivative, so at
+# GRADCHECK_STEP most of the error left (about 4e-7) is the h^2
+# truncation of the central difference, not roundoff.  A wrong gradient
+# rule still fails by orders of magnitude on any instance.
 GRADCHECK_SEED = 703
 GRADCHECK_HEAD_SCALE = 2.0
 GRADCHECK_RAND_STD = 1.0

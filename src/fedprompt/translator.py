@@ -2,7 +2,8 @@
 
 A fixed bank of learned query vectors takes one additive update from the
 class-name embedding, then a gated feed-forward refines the result under
-a pre-normalized residual connection.
+a pre-normalized residual connection.  Its gate is QuickGELU,
+x * sigmoid(1.702 x), the activation of CLIP's text transformer.
 
 The update is what cross-attention of the queries over a single key row
 reduces to: with one key every attention weight is exactly 1, so every
@@ -142,19 +143,21 @@ def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: np.ndarray) 
     inv = 1.0 / np.sqrt((uc * uc).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     y = uc * inv
     u_in = y * gain[..., None, :] + bias[..., None, :]
-    # GEGLU: the first f columns carry the value, the last f the gate
+    # GEGLU under QuickGELU: the first f columns carry the value, the last
+    # f the gate
     h = u_in @ ffn_in
     a, b = h[..., :f], h[..., f:]
-    cdf = ag.gelu_cdf(b)
-    gate = b * cdf
+    s = ag.quick_gelu_gate(b)
+    gate = b * s
     m = a * gate
     out = u + m @ ffn_out
 
     def rule(g):
         g_m = g @ tr(ffn_out)
         g_h = np.empty_like(h)
-        g_h[..., :f] = g_m * gate
-        g_h[..., f:] = g_m * a * ag.gelu_slope(b, cdf)
+        np.multiply(g_m, gate, out=g_h[..., :f])
+        g_b = np.multiply(g_m, a, out=g_h[..., f:])
+        g_b *= ag.quick_gelu_slope(s, gate)
         g_in = g_h @ tr(ffn_in)
         gy = g_in * gain[..., None, :]
         s1 = gy.sum(axis=-1, keepdims=True)

@@ -6,10 +6,11 @@ and the class-name embedding is a separately perturbed copy of the same
 direction.  Novel classes live between random pairs of base classes so
 they are related to, but distinct from, anything seen in training.
 
-A small frozen two-layer head turns prompt context vectors into an
-additive correction on the class-name embedding.  With zero context the
-head contributes nothing, so the text feature degenerates to the raw
-class embedding; that identity anchors several tests.  The head takes a
+A small frozen two-layer head, with QuickGELU between its layers, turns
+prompt context vectors into an additive correction on the class-name
+embedding.  QuickGELU(0) = 0, so with zero context the head contributes
+nothing and the text feature degenerates to the raw class embedding;
+that identity anchors several tests.  The head takes a
 whole class set at once: k embedding rows and their contexts stacked as
 [k * n_ctx, d] rows give k features from one graph node, which pools
 each class's rows as a [k, n_ctx, d] mean and carries a hand-written
@@ -175,8 +176,9 @@ def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> 
         raise DimensionError(f"context {c.shape} does not split into {k} classes")
     n_ctx = rows // k
     z = c.reshape(*lead, k, n_ctx, d).mean(axis=-2) @ head.W1
-    cdf = ag.gelu_cdf(z)
-    x = class_emb + (z * cdf) @ head.W2
+    s = ag.quick_gelu_gate(z)
+    zs = z * s
+    x = class_emb + zs @ head.W2
     norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     ag.require_finite(norms, "text feature norms are not finite")
     denom = np.maximum(norms, L2_NORM_EPS)
@@ -188,7 +190,7 @@ def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> 
             (g - y * (y * g).sum(axis=-1, keepdims=True)) / denom,
             g / L2_NORM_EPS,
         )
-        g_pooled = ((g_x @ head.W2.T) * ag.gelu_slope(z, cdf)) @ head.W1.T
+        g_pooled = ((g_x @ head.W2.T) * ag.quick_gelu_slope(s, zs)) @ head.W1.T
         return (np.repeat(g_pooled / n_ctx, n_ctx, axis=-2),)
 
     return DiffNode(y, (ctx,), rule, op="text_feature")

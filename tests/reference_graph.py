@@ -29,7 +29,6 @@ hold the stacked check to it.  Nothing here is used outside tests/.
 """
 
 import numpy as np
-from scipy.special import erf
 
 from fedprompt import autograd as ag
 from fedprompt.autograd import DiffNode, Parameter, ParameterSet, require_finite
@@ -38,8 +37,9 @@ from fedprompt.federation import ClientUpdate, class_text_features as fused_feat
 from fedprompt.translator import LAYER_NORM_EPS
 from fedprompt.world import L2_NORM_EPS
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# sigmoid(y) = (1 + tanh(y / 2)) / 2, so at half of QuickGELU's 1.702 this
+# is the package's gate through a separate formula
+_HALF_SCALE = 0.851
 
 
 def _node(x) -> DiffNode:
@@ -108,24 +108,24 @@ def layer_norm(x, gain, bias) -> DiffNode:
 
 
 def _gelu_forward(x):
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    return 0.5 * x * (1.0 + np.tanh(_HALF_SCALE * x))
 
 
 def _gelu_derivative(x):
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+    t = np.tanh(_HALF_SCALE * x)
+    return 0.5 * (1.0 + t) + x * (0.5 * _HALF_SCALE) * (1.0 - t * t)
 
 
 def gelu(x) -> DiffNode:
-    """Exact Gaussian error linear unit, erf form."""
+    """QuickGELU, x * sigmoid(1.702 x), in its tanh form."""
     x = _node(x)
     xv = x.value
     return DiffNode(_gelu_forward(xv), (x,), lambda g: (g * _gelu_derivative(xv),), op="gelu")
 
 
 def geglu(x) -> DiffNode:
-    """Gated GELU over the last axis: the first half of the columns carries
-    the value, the second half the gate."""
+    """QuickGELU-gated linear unit over the last axis: the first half of
+    the columns carries the value, the second half the gate."""
     x = _node(x)
     _need_2d(x, "geglu")
     w = x.shape[1]

@@ -2,6 +2,8 @@
 central-difference gradient checks for every op, both the package's and
 the small ops of the test-side reference composition (reference_graph)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from fedprompt.autograd import (
     constant,
     cross_entropy,
     grad_check,
+    quick_gelu_gate,
+    quick_gelu_slope,
 )
 from fedprompt.errors import DimensionError, NumericError, SchemaError
 from reference_graph import (
@@ -28,8 +32,8 @@ from reference_graph import (
     unflatten,
 )
 
-# standard normal cdf at 1.0, dependable to the last float64 digit
-PHI_1 = 0.8413447460685429
+# QuickGELU's gate at 1.0, sigmoid(1.702), through the scalar math library
+SIG_1 = 1.0 / (1.0 + math.exp(-1.702))
 
 
 def probe(node: DiffNode, seed: int) -> DiffNode:
@@ -131,13 +135,13 @@ class TestForwardOracles:
 
     def test_gelu_known_points(self):
         out = gelu(constant([[0.0, 1.0, -1.0]]))
-        expected = np.array([[0.0, PHI_1, -(1.0 - PHI_1)]])
+        expected = np.array([[0.0, SIG_1, -(1.0 - SIG_1)]])
         assert np.allclose(out.value, expected, rtol=0, atol=1e-12)
 
     def test_geglu_halves(self):
         out = geglu(constant([[2.0, 0.5, 1.0, 0.0]]))
-        # value [2, 0.5] gated by gelu([1, 0]) = [PHI_1, 0]
-        assert np.allclose(out.value, [[2.0 * PHI_1, 0.0]], rtol=0, atol=1e-12)
+        # value [2, 0.5] gated by gelu([1, 0]) = [SIG_1, 0]
+        assert np.allclose(out.value, [[2.0 * SIG_1, 0.0]], rtol=0, atol=1e-12)
 
     def test_geglu_odd_width_rejected(self):
         with pytest.raises(DimensionError):
@@ -169,6 +173,35 @@ class TestForwardOracles:
     def test_cross_entropy_label_out_of_range(self):
         with pytest.raises(IndexError):
             cross_entropy(constant(np.zeros((1, 3))), [3])
+
+
+class TestQuickGelu:
+    def test_slope_matches_central_difference_into_the_tails(self):
+        # the grid reaches |x| = 40, where the gate is saturated at 0 or 1
+        x = np.linspace(-40.0, 40.0, 801)
+        h = 1e-5
+
+        def f(v):
+            return v * quick_gelu_gate(v)
+
+        s = quick_gelu_gate(x)
+        slope = quick_gelu_slope(s, x * s)
+        numeric = (f(x + h) - f(x - h)) / (2.0 * h)
+        err = np.abs(slope - numeric) / np.maximum(np.abs(slope), np.abs(numeric))
+        assert err.max() < 1e-6
+        assert abs(slope[0]) < 1e-25 and slope[-1] == 1.0
+
+    def test_gate_at_zero_is_one_half(self):
+        assert quick_gelu_gate(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+
+    def test_overflowing_exp_gives_zero_gate_and_finite_slope(self):
+        # below about -417 the exp of -1.702 x overflows to inf
+        x = np.array([-500.0, -1e4, -1e300])
+        with np.errstate(all="ignore"):
+            s = quick_gelu_gate(x)
+            slope = quick_gelu_slope(s, x * s)
+        assert s.tolist() == [0.0, 0.0, 0.0]
+        assert np.isfinite(slope).all()
 
 
 class TestBackward:

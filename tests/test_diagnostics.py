@@ -45,7 +45,13 @@ def test_composite_check_makes_24_loss_evaluations(monkeypatch):
     assert err < GRADCHECK_TOLERANCE
 
 
-def test_wrong_translate_rule_fails(monkeypatch, capsys):
+def _composite_error(h):
+    params, loss_fn = _grad_check_instance()
+    return grad_check(loss_fn, params, h=h)
+
+
+def _skew_translate_rule(monkeypatch):
+    """Scale the translator's W_v gradient by 1.001: a wrong rule."""
     translate_one = federation.translate_one
 
     def skewed(params, cfg, emb):
@@ -61,7 +67,21 @@ def test_wrong_translate_rule_fails(monkeypatch, capsys):
         return node
 
     monkeypatch.setattr(federation, "translate_one", skewed)
+
+
+def test_wrong_translate_rule_fails(monkeypatch, capsys):
+    _skew_translate_rule(monkeypatch)
     err = composite_grad_check()[0]
     assert err > GRADCHECK_TOLERANCE and np.isfinite(err)
     assert main(["gradcheck"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_error_is_central_difference_truncation(monkeypatch):
+    # a correct rule leaves only the truncation error of the central
+    # difference, which grows as h^2: tenfold the step, a hundredfold the
+    # error (100.0 measured).  A wrong rule adds an error that does not
+    # shrink with h, so the ratio falls towards 1 (3.7 measured).
+    assert _composite_error(1e-3) / _composite_error(1e-4) > 20
+    _skew_translate_rule(monkeypatch)
+    assert _composite_error(1e-3) / _composite_error(1e-4) < 20
