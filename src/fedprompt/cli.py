@@ -1,16 +1,16 @@
 """Command line front end.
 
-Six subcommands cover the full experiment cycle: make-world samples and
-stores a synthetic embedding world, train runs the federated loop and
-checkpoints every round, eval scores a checkpoint on base and new
-classes, report renders the reference comparison and writes its five
-files (two CSV tables, the summary JSON and two SVG charts), and
-gradcheck/selftest are built-in health probes.
+Five subcommands cover the full experiment cycle: train runs the
+federated loop and checkpoints every round, eval scores a checkpoint on
+base and new classes, report renders the reference comparison and writes
+its five files (two CSV tables, the summary JSON and two SVG charts),
+and gradcheck/selftest are built-in health probes.  train and eval both
+rebuild the synthetic world from the config's world keys.
 
 Exit codes: 0 on success, 1 for usage, configuration and contract errors
 (an empty path option, or an output option naming the file of another
-path option, is refused before any work), 2 for I/O and file format
-errors.
+path option or the checkpoint's temp file, is refused before any work),
+2 for I/O and file format errors.
 """
 
 import argparse
@@ -26,18 +26,12 @@ from fedprompt.config import (
     apply_overrides,
     build_config,
     canonical_text,
-    check_world_echo,
     extract_round,
     load_config,
     parse_config_text,
     with_round_marker,
 )
-from fedprompt.container import (
-    load_checkpoint,
-    load_embeddings_file,
-    save_checkpoint,
-    save_embeddings,
-)
+from fedprompt.container import load_checkpoint, save_checkpoint, temp_path
 from fedprompt.diagnostics import (
     GRADCHECK_TOLERANCE,
     composite_grad_check,
@@ -59,7 +53,7 @@ from fedprompt.reporting import (
     summary_json,
 )
 from fedprompt.translator import init_translator_params, translator_schema
-from fedprompt.world import build_world, load_embeddings, world_arrays
+from fedprompt.world import build_world
 
 # generated from the key registry so this listing cannot drift from
 # what the parser accepts
@@ -71,7 +65,6 @@ USAGE = f"""\
 usage: fedprompt <command> [options]
 
 commands:
-  make-world   sample a synthetic embedding world and save it
   train        run federated training and checkpoint every round
   eval         score a checkpoint on base and new classes
   report       write the reference comparison tables and charts
@@ -104,7 +97,27 @@ def _parser(command: str, description: str) -> _Parser:
     return _Parser(prog=f"fedprompt {command}", description=description)
 
 
-def _add_config_options(p: _Parser):
+def _refuse_shared_paths(a, outputs, inputs) -> None:
+    """Refuse, before any file is opened, an output option that names the
+    file of another path option of the command: writing one would
+    destroy the other.  An output checkpoint is written to its temp file
+    first, so that file counts as one more output."""
+    named = [(flag, getattr(a, flag[2:])) for flag in outputs]
+    if "--checkpoint" in outputs:
+        named.append(("the temp file of --checkpoint", temp_path(a.checkpoint)))
+    n_written = len(named)
+    named += [(flag, getattr(a, flag[2:])) for flag in inputs]
+    first = {}  # real path -> index of the first entry naming it
+    for i, (label, path) in enumerate(named):
+        if path is not None:
+            real = os.path.realpath(path)
+            j = first.setdefault(real, i)
+            if j != i and j < n_written:
+                raise ContractError(f"{named[j][0]} and {label} name the same file {real}")
+
+
+def _cmd_train(args) -> int:
+    p = _parser("train", "Run federated training; checkpoint after every round.")
     p.add_argument("--config", type=_path, metavar="PATH", help="key=value config file")
     p.add_argument(
         "--set",
@@ -114,59 +127,12 @@ def _add_config_options(p: _Parser):
         metavar="KEY=VALUE",
         help="override one config key; repeatable, applied after the file",
     )
-
-
-def _refuse_shared_paths(a, outputs, inputs) -> None:
-    """Refuse, before any file is opened, an output option that names the
-    file of another path option of the command: writing one would
-    destroy the other."""
-    first = {}  # real path -> the first option naming it
-    for flag in (*outputs, *inputs):
-        if (path := getattr(a, flag[2:])) is not None:
-            real = os.path.realpath(path)
-            if first.get(real) in outputs:
-                raise ContractError(f"{first[real]} and {flag} name the same file {real}")
-            first.setdefault(real, flag)
-
-
-def _world_for(cfg, world_path):
-    """The experiment's world: loaded from a stored file made under the
-    same world keys, or rebuilt."""
-    if world_path is None:
-        return build_world(cfg.world)
-    arrays, echo = load_embeddings_file(world_path)
-    check_world_echo(echo, cfg, world_path)
-    return load_embeddings(arrays, cfg.world)
-
-
-def _cmd_make_world(args) -> int:
-    p = _parser("make-world", "Sample the synthetic embedding world and save it.")
-    _add_config_options(p)
-    p.add_argument("--out", type=_path, default="world.ftpe", metavar="PATH")
-    a = p.parse_args(args)
-    _refuse_shared_paths(a, ("--out",), ("--config",))
-    cfg = load_config(a.config, a.overrides)
-    world = build_world(cfg.world)
-    save_embeddings(a.out, world_arrays(world), canonical_text(cfg))
-    print(
-        f"wrote {a.out}: {cfg.world.n_base} base + {cfg.world.n_new} new classes, "
-        f"d={cfg.world.d}, seed={cfg.master_seed}"
-    )
-    return 0
-
-
-def _cmd_train(args) -> int:
-    p = _parser("train", "Run federated training; checkpoint after every round.")
-    _add_config_options(p)
-    p.add_argument(
-        "--world", type=_path, metavar="PATH", help="stored world file; default rebuilds from config"
-    )
     p.add_argument("--checkpoint", type=_path, default="model.ftpg", metavar="PATH")
     p.add_argument("--log", type=_path, default="train_log.jsonl", metavar="PATH")
     a = p.parse_args(args)
-    _refuse_shared_paths(a, ("--checkpoint", "--log"), ("--config", "--world"))
+    _refuse_shared_paths(a, ("--checkpoint", "--log"), ("--config",))
     cfg = load_config(a.config, a.overrides)
-    world = _world_for(cfg, a.world)
+    world = build_world(cfg.world)
     blocks = partition_classes(
         cfg.world.n_base, cfg.n_clients, cfg.classes_per_client, cfg.master_seed
     )
@@ -213,9 +179,6 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     p = _parser("eval", "Score a checkpoint on the base and new splits.")
     p.add_argument("--checkpoint", type=_path, required=True, metavar="PATH")
-    p.add_argument(
-        "--world", type=_path, metavar="PATH", help="stored world file; default rebuilds from config"
-    )
     p.add_argument("--out", type=_path, default="eval.json", metavar="PATH")
     p.add_argument(
         "--set",
@@ -226,7 +189,7 @@ def _cmd_eval(args) -> int:
         help="override keys from the checkpoint's embedded config",
     )
     a = p.parse_args(args)
-    _refuse_shared_paths(a, ("--out",), ("--checkpoint", "--world"))
+    _refuse_shared_paths(a, ("--out",), ("--checkpoint",))
     params, echo = load_checkpoint(a.checkpoint)
     values = parse_config_text(echo, source=f"{a.checkpoint} config")
     cfg = build_config(apply_overrides(values, a.overrides))
@@ -236,7 +199,7 @@ def _cmd_eval(args) -> int:
             f"checkpoint tensors do not match the configured model: "
             f"{params.schema()} vs {expected}"
         )
-    world = _world_for(cfg, a.world)
+    world = build_world(cfg.world)
     try:
         result = evaluate_both_splits(
             params, world, cfg.translator, cfg.n_test, cfg.optimizer.temperature, cfg.master_seed
@@ -309,7 +272,6 @@ def _cmd_selftest(args) -> int:
 
 
 COMMANDS = {
-    "make-world": _cmd_make_world,
     "train": _cmd_train,
     "eval": _cmd_eval,
     "report": _cmd_report,

@@ -43,6 +43,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"translator width {self.translator.d_model} must equal world.d {self.world.d}"
             )
+        # eval scores the novel split, so a run needs novel classes
+        if self.world.n_new < 1:
+            raise ConfigError(f"world.n_new must be at least 1, got {self.world.n_new}")
         need = self.n_clients * self.classes_per_client
         if need > self.world.n_base:
             raise ConfigError(
@@ -120,12 +123,6 @@ def _key(key: str, doc: str) -> Key:
 
 # the single source of truth for configuration keys
 KEYS: dict[str, Key] = {key: _key(key, doc) for key, doc in _DOCS.items()}
-
-# the keys a stored world depends on
-WORLD_KEYS = tuple(sorted(
-    [key for key in KEYS if _field_path(key)[0] == "world"]
-    + [key for (section, _), key in _COUPLINGS.items() if section == "world"]
-))
 
 
 def default_values() -> dict[str, object]:
@@ -208,21 +205,6 @@ def canonical_text(cfg: ExperimentConfig) -> str:
     """Sorted key=value serialization; parsing it back is the identity."""
     values = config_values(cfg)
     return "".join(f"{key}={values[key]!r}\n" for key in sorted(values))
-
-
-def check_world_echo(echo: str, cfg: ExperimentConfig, source: str) -> None:
-    """Refuse a stored world whose echo disagrees with cfg on a world key.
-
-    Only the world keys' lines are compared; other lines are ignored, so
-    world files written before some other key was removed still load.
-    """
-    stored = dict(line.split("=", 1) for line in echo.splitlines() if "=" in line)
-    values = config_values(cfg)
-    for key in WORLD_KEYS:
-        want = repr(values[key])
-        if stored.get(key) != want:
-            got = f"{key}={stored[key]}" if key in stored else f"no {key} line"
-            raise ConfigError(f"{source}: world was made with {got}, but this run has {key}={want}")
 
 
 ROUND_PREFIX = "# round="

@@ -1,16 +1,16 @@
-"""Binary containers for checkpoints and world embeddings.
+"""Binary checkpoint container.
 
-One little-endian layout serves both file kinds; only the four-byte magic
-differs.  After the magic come a format version, a tensor count, then
-each tensor as a length-prefixed name, a rank, the dims, and the raw
-float64 values, and finally a length-prefixed UTF-8 echo of the
+A little-endian layout: the four-byte magic, a format version, a tensor
+count, then each tensor as a length-prefixed name, a rank, the dims, and
+the raw float64 values, and finally a length-prefixed UTF-8 echo of the
 experiment configuration.  Tensors are written in lexicographic name
-order so identical contents produce identical bytes.
+order so identical contents produce identical bytes.  Any other magic,
+such as that of the retired embedding-world files (FTPE), is refused.
 
 Readers parse the whole file before returning anything, so a truncated
 or corrupt file raises FormatError with the failing byte offset and no
-partial state escapes.  Writes go through a temp file and an atomic
-rename for the same reason; a failed write removes the temp file.
+partial state escapes.  Writes go through a temp file (temp_path) and an
+atomic rename for the same reason; a failed write removes the temp file.
 """
 
 import contextlib
@@ -23,7 +23,6 @@ from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.errors import FormatError
 
 CHECKPOINT_MAGIC = b"FTPG"
-EMBEDDINGS_MAGIC = b"FTPE"
 CONTAINER_VERSION = 1
 
 # plausibility caps; files beyond these are rejected as corrupt rather
@@ -35,16 +34,19 @@ _MAX_ELEMENTS = 50_000_000
 _MAX_CONFIG_LEN = 1_000_000
 
 
-def write_container(path, magic: bytes, arrays: dict[str, np.ndarray], config_text: str) -> None:
+def temp_path(path) -> str:
+    """The file a container is written to before it is renamed to path."""
+    return f"{path}.tmp"
+
+
+def write_container(path, arrays: dict[str, np.ndarray], config_text: str) -> None:
     """Write the container straight to a temp file, piece by piece: each
     tensor's values go out as one little-endian C-order buffer, which for
     a float64 C-order array is the array's own memory, not a copy."""
-    if len(magic) != 4:
-        raise ValueError("magic must be exactly 4 bytes")
-    tmp = f"{path}.tmp"
+    tmp = temp_path(path)
     try:
         with open(tmp, "wb") as f:
-            f.write(magic)
+            f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<II", CONTAINER_VERSION, len(arrays)))
             for name in sorted(arrays):
                 arr = np.asarray(arrays[name], dtype=np.float64)
@@ -79,16 +81,14 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def read_container(path, magic: bytes) -> tuple[dict[str, np.ndarray], str]:
+def read_container(path) -> tuple[dict[str, np.ndarray], str]:
     """Parse a container file, returning its tensors and config echo."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
 
     got_magic = r.take(4, "magic")
-    if got_magic != magic:
-        raise FormatError(
-            f"bad magic {got_magic!r}, expected {magic!r}", offset=0
-        )
+    if got_magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"bad magic {got_magic!r}, expected {CHECKPOINT_MAGIC!r}", offset=0)
     version = r.u32("version")
     if version != CONTAINER_VERSION:
         raise FormatError(f"unsupported container version {version}", offset=4)
@@ -140,20 +140,11 @@ def read_container(path, magic: bytes) -> tuple[dict[str, np.ndarray], str]:
 
 
 def save_checkpoint(path, params: ParameterSet, config_text: str) -> None:
-    write_container(
-        path, CHECKPOINT_MAGIC, {name: p.value for name, p in params.items()}, config_text
-    )
+    write_container(path, {name: p.value for name, p in params.items()}, config_text)
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, str]:
-    arrays, config_text = read_container(path, CHECKPOINT_MAGIC)
+    arrays, config_text = read_container(path)
     params = ParameterSet([Parameter(name, arr) for name, arr in arrays.items()])
     return params, config_text
 
-
-def save_embeddings(path, arrays: dict[str, np.ndarray], config_text: str) -> None:
-    write_container(path, EMBEDDINGS_MAGIC, arrays, config_text)
-
-
-def load_embeddings_file(path) -> tuple[dict[str, np.ndarray], str]:
-    return read_container(path, EMBEDDINGS_MAGIC)

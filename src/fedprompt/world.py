@@ -28,7 +28,6 @@ from fedprompt.errors import ConfigError, DimensionError
 from fedprompt.seeding import rng_for
 
 L2_NORM_EPS = 1e-8
-LOAD_NORM_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,9 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 def build_world(cfg: WorldConfig) -> SyntheticWorld:
     """Materialize the world for cfg.seed.
 
-    Draw order is fixed and part of the format: base centers, then per
-    novel class a parent pair and mixing weight, then every class-name
+    Every command rebuilds the world this way; none is stored.  Draw
+    order is fixed, since every result depends on it: base centers, then
+    per novel class a parent pair and mixing weight, then every class-name
     embedding in class id order (one [n_classes, d] draw takes the same
     values, row by row, as one draw of d per class), then the two head
     matrices.  Zero noise scales skip both the draw and the
@@ -195,51 +195,3 @@ def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> 
 
     return DiffNode(y, (ctx,), rule, op="text_feature")
 
-
-def load_embeddings(arrays: dict[str, np.ndarray], cfg: WorldConfig) -> SyntheticWorld:
-    """Rebuild a world from stored tensors.
-
-    Expects the five tensors written by the world container.  Center and
-    embedding rows are renormalized if any has drifted from unit norm by
-    more than 1e-6; exactly stored rows pass through bitwise.
-    """
-    required = {
-        "base_centers": (cfg.n_base, cfg.d),
-        "new_centers": (cfg.n_new, cfg.d),
-        "class_embeddings": (cfg.n_classes, cfg.d),
-        "head_W1": (cfg.d, cfg.d),
-        "head_W2": (cfg.d, cfg.d),
-    }
-    got = {}
-    for name, shape in required.items():
-        if name not in arrays:
-            raise ConfigError(f"embeddings are missing tensor {name!r}")
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise DimensionError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
-        got[name] = arr
-
-    def maybe_renorm(x):
-        if x.size == 0:
-            return x
-        norms = np.sqrt((x * x).sum(axis=1))
-        return x if np.allclose(norms, 1.0, rtol=0, atol=LOAD_NORM_ATOL) else _unit_rows(x)
-
-    return SyntheticWorld(
-        cfg,
-        maybe_renorm(got["base_centers"]),
-        maybe_renorm(got["new_centers"]),
-        maybe_renorm(got["class_embeddings"]),
-        FrozenTextHead(got["head_W1"], got["head_W2"]),
-    )
-
-
-def world_arrays(world: SyntheticWorld) -> dict[str, np.ndarray]:
-    """Tensors to persist, inverse of load_embeddings."""
-    return {
-        "base_centers": world.base_centers,
-        "new_centers": world.new_centers,
-        "class_embeddings": world.class_embeddings,
-        "head_W1": world.head.W1,
-        "head_W2": world.head.W2,
-    }

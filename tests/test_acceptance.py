@@ -20,12 +20,7 @@ import fedprompt
 from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.cli import main
 from fedprompt.config import load_config
-from fedprompt.container import (
-    load_checkpoint,
-    load_embeddings_file,
-    save_checkpoint,
-    save_embeddings,
-)
+from fedprompt.container import load_checkpoint, save_checkpoint
 from fedprompt.diagnostics import (
     GRADCHECK_TOLERANCE,
     composite_grad_check,
@@ -45,7 +40,7 @@ from fedprompt.partition import build_client_dataset, partition_classes
 from fedprompt.reporting import compare_to_reference, fixture_results, fmt2, summarize
 from fedprompt.seeding import rng_for
 from fedprompt.translator import TranslatorConfig, init_translator_params
-from fedprompt.world import WorldConfig, build_world, world_arrays
+from fedprompt.world import WorldConfig, build_world
 
 GRADCHECK_TIME_BUDGET_S = 10.0
 LEARNING_TIME_BUDGET_S = 120.0
@@ -345,14 +340,6 @@ def test_container_round_trip_and_rejection(tmp_path):
         np.array_equal(loaded.flatten(), params.flatten()) and echo == "probe=1\n"
     )
 
-    world = build_world(WorldConfig(d=16, n_base=4, n_new=2, seed=5))
-    emb = tmp_path / "world.ftpe"
-    save_embeddings(str(emb), world_arrays(world), "probe=2\n")
-    arrays, _ = load_embeddings_file(str(emb))
-    emb_ok = all(
-        np.array_equal(arrays[name], tensor) for name, tensor in world_arrays(world).items()
-    )
-
     blob = ckpt.read_bytes()
     rejected = 0
     probes = list(range(0, len(blob), max(1, len(blob) // 16)))
@@ -363,16 +350,17 @@ def test_container_round_trip_and_rejection(tmp_path):
             load_checkpoint(str(bad))
         rejected += 1
     corrupt = tmp_path / "corrupt.ftpg"
-    corrupt.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(FormatError):
-        load_checkpoint(str(corrupt))
+    for magic in (b"XXXX", b"FTPE"):  # FTPE: the retired embedding-world files
+        corrupt.write_bytes(magic + blob[4:])
+        with pytest.raises(FormatError):
+            load_checkpoint(str(corrupt))
     leftovers = [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
 
-    ok = ckpt_ok and emb_ok and not leftovers
+    ok = ckpt_ok and not leftovers
     msg = _line(
         "container-round-trip",
         ok,
-        f"checkpoint+embeddings bitwise, {rejected} truncations and bad magic rejected, "
+        f"checkpoint bitwise, {rejected} truncations and bad magic rejected, "
         f"no partial files",
     )
     assert ok, msg

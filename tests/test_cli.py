@@ -15,19 +15,16 @@ from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.cli import main
 from fedprompt.config import (
     KEYS,
+    build_config,
     canonical_text,
     extract_round,
     load_config,
+    parse_config_text,
     with_round_marker,
 )
-from fedprompt.container import (
-    load_checkpoint,
-    load_embeddings_file,
-    save_checkpoint,
-    save_embeddings,
-)
+from fedprompt.container import load_checkpoint, save_checkpoint
 from fedprompt.translator import init_translator_params
-from fedprompt.world import build_world, world_arrays
+from fedprompt.world import build_world
 
 TINY = """\
 world.d=16
@@ -70,11 +67,8 @@ EMPTY_PATH_CASES = [
     ("report", "--out-dir", []),
     ("eval", "--out", ["--checkpoint", "model.ftpg"]),
     ("eval", "--checkpoint", []),
-    ("eval", "--world", ["--checkpoint", "model.ftpg"]),
     ("train", "--checkpoint", ["--set", "federation.rounds=1"]),
     ("train", "--log", ["--set", "federation.rounds=1"]),
-    ("train", "--world", ["--set", "federation.rounds=1"]),
-    ("make-world", "--out", []),
 ]
 
 
@@ -86,8 +80,9 @@ class TestDispatch:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
-        for command in ("make-world", "train", "eval", "report", "gradcheck", "selftest"):
+        for command in ("train", "eval", "report", "gradcheck", "selftest"):
             assert command in out
+        assert "make-world" not in out
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -116,7 +111,7 @@ class TestDispatch:
         done = subprocess.run([sys.executable, "-m", "fedprompt", "--help"], env=env,
                               capture_output=True, text=True)
         assert done.returncode == 0
-        assert "make-world" in done.stdout
+        assert "train" in done.stdout
         assert "RuntimeWarning" not in done.stderr
 
     @pytest.mark.parametrize("command, flag, extra", EMPTY_PATH_CASES,
@@ -129,18 +124,27 @@ class TestDispatch:
         assert f"argument {flag}: an empty path is not allowed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command, outputs", [
-        ("make-world", ["--out", "w.ftpe"]),
-        ("train", ["--checkpoint", "model.ftpg", "--log", "log.jsonl"]),
-    ])
-    def test_config_that_is_not_utf8_refused(self, tmp_path, monkeypatch, capsys,
-                                             command, outputs):
+    def test_config_that_is_not_utf8_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.cfg").write_bytes(b"# world\nworld.d=\xff\n")
-        assert main([command, "--config", "bad.cfg", *outputs]) == 1
+        assert main(["train", "--config", "bad.cfg",
+                     "--checkpoint", "model.ftpg", "--log", "log.jsonl"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad.cfg: not UTF-8 text (at byte offset 16)")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["make-world"], "unknown command 'make-world'"),
+        (["train", "--world", "w.ftpe"], "unrecognized arguments: --world w.ftpe"),
+        (["eval", "--checkpoint", "model.ftpg", "--world", "w.ftpe"],
+         "unrecognized arguments: --world w.ftpe"),
+    ], ids=["make-world", "train --world", "eval --world"])
+    def test_stored_world_options_gone(self, tmp_path, monkeypatch, capsys, args, message):
+        # the world is always rebuilt from its keys
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReadme:
@@ -161,6 +165,13 @@ class TestReadme:
         names = [n.strip() for n in imported.group(1).split(",") if n.strip()]
         assert sorted(names) == sorted(set(fedprompt.__all__) - {"main"})
 
+    def test_code_blocks_show_exactly_the_commands(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        blocks = readme.split("```")[1::2]
+        shown = {m for block in blocks for m in re.findall(r"^fedprompt ([\w-]+)", block, re.M)}
+        assert shown == set(cli.COMMANDS)
+
 
 class TestDependencies:
     ROOT = Path(__file__).resolve().parents[1]
@@ -180,53 +191,6 @@ class TestDependencies:
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stdout + done.stderr
         assert "scipy" not in done.stderr
-
-
-class TestMakeWorld:
-    def test_writes_loadable_file(self, tmp_path, tiny_cfg, capsys):
-        out = str(tmp_path / "w.ftpe")
-        assert main(["make-world", "--config", tiny_cfg, "--out", out]) == 0
-        assert "6 base + 2 new" in capsys.readouterr().out
-        arrays, echo = load_embeddings_file(out)
-        assert arrays["base_centers"].shape == (6, 16)
-        assert "master_seed=7" in echo
-
-    def test_missing_config_file_is_io_error(self, tmp_path, capsys):
-        code = main(["make-world", "--config", str(tmp_path / "absent.cfg")])
-        assert code == 2
-
-    def test_set_override_applies(self, tmp_path, tiny_cfg):
-        out = str(tmp_path / "w.ftpe")
-        assert main(
-            ["make-world", "--config", tiny_cfg, "--set", "world.n_new=3", "--out", out]
-        ) == 0
-        arrays, _ = load_embeddings_file(out)
-        assert arrays["new_centers"].shape == (3, 16)
-
-    def test_bad_override_key(self, tiny_cfg, capsys):
-        assert main(["make-world", "--config", tiny_cfg, "--set", "world.zzz=1"]) == 1
-        assert "unknown config key" in capsys.readouterr().err
-
-    def test_non_finite_override_writes_nothing(self, tmp_path, tiny_cfg, capsys):
-        out = tmp_path / "w.ftpe"
-        for raw in ("nan", "inf", "-inf"):
-            args = ["make-world", "--config", tiny_cfg, "--set", f"world.sigma_text={raw}"]
-            assert main([*args, "--out", str(out)]) == 1
-            assert "world.sigma_text" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [Path(tiny_cfg)]
-
-    @pytest.mark.parametrize("seed, code",
-                             [(2**63, 1), (-2**63 - 1, 1), (2**63 - 1, 0), (-2**63, 0)])
-    def test_master_seed_bounds(self, tmp_path, tiny_cfg, capsys, seed, code):
-        # seeds are hashed as 8-byte two's complement
-        out = tmp_path / "w.ftpe"
-        args = ["make-world", "--config", tiny_cfg, "--set", f"master_seed={seed}"]
-        assert main([*args, "--out", str(out)]) == code
-        if code:
-            assert "master_seed" in capsys.readouterr().err
-            assert not out.exists()
-        else:
-            assert f"master_seed={seed}" in load_embeddings_file(str(out))[1]
 
 
 class TestTrain:
@@ -253,54 +217,56 @@ class TestTrain:
         assert open(ckpt_a, "rb").read() == open(ckpt_b, "rb").read()
         assert open(log_a).read() == open(log_b).read()
 
-    def test_stored_world_matches_rebuilt(self, tmp_path, tiny_cfg):
-        world_file = str(tmp_path / "w.ftpe")
-        assert main(["make-world", "--config", tiny_cfg, "--out", world_file]) == 0
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        a.mkdir()
-        b.mkdir()
-        ckpt_a, _ = _train(a, tiny_cfg, "--world", world_file)
-        ckpt_b, _ = _train(b, tiny_cfg)
-        assert open(ckpt_a, "rb").read() == open(ckpt_b, "rb").read()
+    def test_missing_config_file_is_io_error(self, tmp_path, capsys):
+        code = main(["train", "--config", str(tmp_path / "absent.cfg"),
+                     "--checkpoint", str(tmp_path / "model.ftpg"),
+                     "--log", str(tmp_path / "log.jsonl")])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("override", ["world.sigma_text=0.5", "master_seed=3"])
-    def test_stored_world_of_other_world_keys_refused(self, tmp_path, tiny_cfg, capsys, override):
-        world_file = tmp_path / "w.ftpe"
-        args = ["make-world", "--config", tiny_cfg, "--set", override, "--out", str(world_file)]
-        assert main(args) == 0
-        code = main(["train", "--config", tiny_cfg, "--world", str(world_file),
+    def test_set_override_applies(self, tmp_path, tiny_cfg):
+        ckpt, _ = _train(tmp_path, tiny_cfg, "--set", "world.n_new=3")
+        _, echo = load_checkpoint(ckpt)
+        cfg = build_config(parse_config_text(echo))
+        assert build_world(cfg.world).new_centers.shape == (3, 16)
+
+    def test_bad_override_key(self, tmp_path, tiny_cfg, capsys):
+        code = main(["train", "--config", tiny_cfg, "--set", "world.zzz=1",
                      "--checkpoint", str(tmp_path / "model.ftpg"),
                      "--log", str(tmp_path / "log.jsonl")])
         assert code == 1
-        assert f"world was made with {override}" in capsys.readouterr().err
-        assert sorted(tmp_path.iterdir()) == sorted([Path(tiny_cfg), world_file])
+        assert "unknown config key" in capsys.readouterr().err
 
-    def test_stored_world_missing_a_world_key_refused(self, tmp_path, tiny_cfg, capsys):
-        cfg = load_config(tiny_cfg)
-        lines = canonical_text(cfg).splitlines(keepends=True)
-        echo = "".join(line for line in lines if not line.startswith("world.n_new="))
-        world_file = str(tmp_path / "w.ftpe")
-        save_embeddings(world_file, world_arrays(build_world(cfg.world)), echo)
-        code = main(["train", "--config", tiny_cfg, "--world", world_file,
+    def test_non_finite_override_writes_nothing(self, tmp_path, tiny_cfg, capsys):
+        for raw in ("nan", "inf", "-inf"):
+            args = ["train", "--config", tiny_cfg, "--set", f"world.sigma_text={raw}"]
+            assert main([*args, "--checkpoint", str(tmp_path / "model.ftpg"),
+                         "--log", str(tmp_path / "log.jsonl")]) == 1
+            assert "world.sigma_text" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(tiny_cfg)]
+
+    @pytest.mark.parametrize("seed, code",
+                             [(2**63, 1), (-2**63 - 1, 1), (2**63 - 1, 0), (-2**63, 0)])
+    def test_master_seed_bounds(self, tmp_path, tiny_cfg, capsys, seed, code):
+        # seeds are hashed as 8-byte two's complement
+        ckpt = tmp_path / "model.ftpg"
+        args = ["train", "--config", tiny_cfg, "--set", f"master_seed={seed}",
+                "--checkpoint", str(ckpt), "--log", str(tmp_path / "log.jsonl")]
+        assert main(args) == code
+        if code:
+            assert "master_seed" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [Path(tiny_cfg)]
+        else:
+            assert f"master_seed={seed}" in load_checkpoint(str(ckpt))[1]
+
+    def test_run_without_novel_classes_writes_nothing(self, tmp_path, tiny_cfg, capsys):
+        # eval could never score such a checkpoint
+        code = main(["train", "--config", tiny_cfg, "--set", "world.n_new=0",
                      "--checkpoint", str(tmp_path / "model.ftpg"),
                      "--log", str(tmp_path / "log.jsonl")])
         assert code == 1
-        assert "no world.n_new line" in capsys.readouterr().err
-
-    def test_stored_world_ignores_other_echo_lines(self, tmp_path, tiny_cfg):
-        # written under another round count and a key since removed
-        cfg = load_config(tiny_cfg, ["federation.rounds=9"])
-        echo = canonical_text(cfg) + "translator.n_heads=4\n"
-        world_file = str(tmp_path / "w.ftpe")
-        save_embeddings(world_file, world_arrays(build_world(cfg.world)), echo)
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        a.mkdir()
-        b.mkdir()
-        ckpt_a, _ = _train(a, tiny_cfg, "--world", world_file)
-        ckpt_b, _ = _train(b, tiny_cfg)
-        assert open(ckpt_a, "rb").read() == open(ckpt_b, "rb").read()
+        assert "world.n_new must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(tiny_cfg)]
 
     def test_line_break_in_value_writes_nothing(self, tmp_path, tiny_cfg, capsys):
         code = main(["train", "--config", tiny_cfg, "--set", "federation.rounds=1\n2",
@@ -360,8 +326,6 @@ class TestTrain:
         assert re.search(r"error: round \d+, client \d+: ", done.stderr), done.stderr
 
     def test_echo_reproduces_config(self, tmp_path, tiny_cfg):
-        from fedprompt.config import build_config, parse_config_text
-
         ckpt, _ = _train(tmp_path, tiny_cfg)
         _, echo = load_checkpoint(ckpt)
         assert build_config(parse_config_text(echo)) == load_config(tiny_cfg)
@@ -407,36 +371,33 @@ class TestEval:
         assert payload["base"] == payload["zero_context_baseline"]["base"]
         assert payload["new"] == payload["zero_context_baseline"]["new"]
 
-    def test_stored_world_of_other_world_keys_refused(self, tmp_path, tiny_cfg, capsys):
-        ckpt, _ = _train(tmp_path, tiny_cfg)
-        world_file = str(tmp_path / "w.ftpe")
-        out = tmp_path / "eval.json"
-        args = ["make-world", "--config", tiny_cfg, "--set", "world.sigma_text=0.5"]
-        assert main([*args, "--out", world_file]) == 0
-        assert main(["eval", "--checkpoint", ckpt, "--world", world_file, "--out", str(out)]) == 1
-        assert "world.sigma_text" in capsys.readouterr().err
-        assert not out.exists()
-        # a world made under the checkpoint's world keys scores like the rebuilt one
-        assert main(["make-world", "--config", tiny_cfg, "--out", world_file]) == 0
-        assert main(["eval", "--checkpoint", ckpt, "--world", world_file, "--out", str(out)]) == 0
-        rebuilt = tmp_path / "rebuilt.json"
-        assert main(["eval", "--checkpoint", ckpt, "--out", str(rebuilt)]) == 0
-        assert out.read_bytes() == rebuilt.read_bytes()
-
     def test_eval_override_n_test(self, tmp_path, tiny_cfg):
         ckpt, _ = _train(tmp_path, tiny_cfg)
         out = str(tmp_path / "eval.json")
         assert main(["eval", "--checkpoint", ckpt, "--set", "eval.n_test=3", "--out", out]) == 0
+
+    def test_override_removing_novel_classes_refused(self, tmp_path, tiny_cfg, capsys):
+        ckpt, _ = _train(tmp_path, tiny_cfg)
+        out = tmp_path / "eval.json"
+        code = main(["eval", "--checkpoint", ckpt, "--set", "world.n_new=0", "--out", str(out)])
+        assert code == 1
+        assert "world.n_new must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_checkpoint_is_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ftpg"
         bad.write_bytes(b"FTPGxxxx")
         assert main(["eval", "--checkpoint", str(bad)]) == 2
 
-    def test_wrong_container_kind_is_format_error(self, tmp_path, tiny_cfg):
-        world_file = str(tmp_path / "w.ftpe")
-        assert main(["make-world", "--config", tiny_cfg, "--out", world_file]) == 0
-        assert main(["eval", "--checkpoint", world_file]) == 2
+    def test_wrong_container_kind_is_format_error(self, tmp_path, tiny_cfg, capsys):
+        # the retired embedding-world files share the layout under magic FTPE
+        ckpt, _ = _train(tmp_path, tiny_cfg)
+        world_file = tmp_path / "w.ftpe"
+        world_file.write_bytes(b"FTPE" + Path(ckpt).read_bytes()[4:])
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(world_file), "--out", str(out)]) == 2
+        assert "format error: bad magic b'FTPE'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_checkpoint_flag(self, capsys):
         assert main(["eval"]) == 1
@@ -573,17 +534,6 @@ class TestSharedPaths:
             assert "--out and --checkpoint name the same file" in capsys.readouterr().err
         assert Path(ckpt).read_bytes() == before
 
-    def test_train_checkpoint_naming_the_world(self, tmp_path, tiny_cfg, capsys):
-        world_file = tmp_path / "w.ftpe"
-        assert main(["make-world", "--config", tiny_cfg, "--out", str(world_file)]) == 0
-        before = world_file.read_bytes()
-        code = main(["train", "--config", tiny_cfg, "--world", str(world_file),
-                     "--checkpoint", str(world_file), "--log", str(tmp_path / "log.jsonl")])
-        assert code == 1
-        assert "--checkpoint and --world name the same file" in capsys.readouterr().err
-        assert world_file.read_bytes() == before
-        assert sorted(tmp_path.iterdir()) == sorted([Path(tiny_cfg), world_file])
-
     def test_train_log_naming_the_checkpoint(self, tmp_path, tiny_cfg, capsys):
         _, log = _train(tmp_path, tiny_cfg)
         before = Path(log).read_bytes()
@@ -591,6 +541,28 @@ class TestSharedPaths:
         assert code == 1
         assert "--checkpoint and --log name the same file" in capsys.readouterr().err
         assert Path(log).read_bytes() == before
+
+    def test_train_log_naming_the_checkpoint_temp_file(self, tmp_path, tiny_cfg, capsys):
+        # the checkpoint is written to <checkpoint>.tmp and renamed
+        ckpt = tmp_path / "m.ftpg"
+        code = main(["train", "--config", tiny_cfg, "--set", "federation.rounds=1",
+                     "--checkpoint", str(ckpt), "--log", f"{ckpt}.tmp"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--log and the temp file of --checkpoint name the same file" in err
+        assert list(tmp_path.iterdir()) == [Path(tiny_cfg)]
+
+    def test_train_config_naming_the_checkpoint_temp_file(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ftpg"
+        config = tmp_path / "m.ftpg.tmp"
+        config.write_text(TINY)
+        code = main(["train", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--log", str(tmp_path / "log.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "the temp file of --checkpoint and --config name the same file" in err
+        assert list(tmp_path.iterdir()) == [config]
+        assert config.read_text() == TINY
 
 
 # for each key, a valid value other than the one the run below uses
@@ -621,22 +593,22 @@ VARIED = {
 
 
 def _results(run_dir, tiny_cfg, *overrides):
-    """What a world, a training run and an evaluation produce, without the
-    config echoes the files carry."""
+    """What the world, a training run and an evaluation produce, without
+    the config echoes the files carry."""
     run_dir.mkdir()
-    world_file, ckpt, log, out = (
-        str(run_dir / name) for name in ("w.ftpe", "model.ftpg", "log.jsonl", "eval.json")
-    )
+    ckpt, log, out = (str(run_dir / name) for name in ("model.ftpg", "log.jsonl", "eval.json"))
     # each client takes at least two steps a round, so momentum acts
-    sets = [arg for item in ("optimizer.batch_size=5", *overrides) for arg in ("--set", item)]
-    assert main(["make-world", "--config", tiny_cfg, *sets, "--out", world_file]) == 0
-    assert main(["train", "--config", tiny_cfg, *sets, "--world", world_file,
-                 "--checkpoint", ckpt, "--log", log]) == 0
-    assert main(["eval", "--checkpoint", ckpt, "--world", world_file, "--out", out]) == 0
-    arrays, _ = load_embeddings_file(world_file)
+    items = ("optimizer.batch_size=5", *overrides)
+    sets = [arg for item in items for arg in ("--set", item)]
+    assert main(["train", "--config", tiny_cfg, *sets, "--checkpoint", ckpt, "--log", log]) == 0
+    assert main(["eval", "--checkpoint", ckpt, "--out", out]) == 0
+    # some world keys move only the world, not the tiny run's log or scores
+    world = build_world(load_config(tiny_cfg, items).world)
+    arrays = (world.base_centers, world.new_centers, world.class_embeddings,
+              world.head.W1, world.head.W2)
     params, _ = load_checkpoint(ckpt)
     return (
-        {name: (a.shape, a.tobytes()) for name, a in arrays.items()},
+        [(a.shape, a.tobytes()) for a in arrays],
         {p.name: (p.value.shape, p.value.tobytes()) for p in params},
         Path(log).read_bytes(),
         Path(out).read_bytes(),

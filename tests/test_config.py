@@ -6,7 +6,6 @@ import pytest
 
 from fedprompt.config import (
     KEYS,
-    WORLD_KEYS,
     ExperimentConfig,
     apply_overrides,
     build_config,
@@ -106,7 +105,9 @@ class TestKeyTable:
             key for key, raw in NON_DEFAULT.items()
             if load_config(None, [f"{key}={raw}"]).world != default_world
         ]
-        assert sorted(changes_world) == list(WORLD_KEYS)
+        assert sorted(changes_world) == sorted(
+            [key for key in KEYS if key.startswith("world.")] + ["master_seed"]
+        )
 
 
 class TestParsing:
@@ -234,6 +235,12 @@ class TestValidation:
         for key in ("translator.n_heads", "translator.kv_len"):
             with pytest.raises(ConfigError, match=key):
                 load_config(None, [f"{key}=4"])
+
+    def test_run_without_novel_classes_rejected_naming_key(self):
+        # eval could never score the novel split; a bare world may have none
+        with pytest.raises(ConfigError, match=r"world\.n_new must be at least 1, got 0"):
+            load_config(None, ["world.n_new=0"])
+        assert WorldConfig(n_new=0).n_classes == WorldConfig().n_base
 
     def test_nonpositive_rounds_rejected(self):
         with pytest.raises(ConfigError, match="rounds"):

@@ -9,12 +9,10 @@ from fedprompt import container
 from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.container import (
     CHECKPOINT_MAGIC,
-    EMBEDDINGS_MAGIC,
     load_checkpoint,
-    load_embeddings_file,
     read_container,
     save_checkpoint,
-    save_embeddings,
+    temp_path,
     write_container,
 )
 from fedprompt.errors import FormatError
@@ -42,16 +40,6 @@ class TestRoundTrip:
         for name, p in params.items():
             assert np.array_equal(loaded[name].value, p.value)
 
-    def test_embeddings_bitwise(self, tmp_path):
-        rng = np.random.default_rng(1)
-        arrays = {"centers": rng.standard_normal((5, 8)), "head": rng.standard_normal((8, 8))}
-        path = tmp_path / "world.ftpe"
-        save_embeddings(path, arrays, "seed=9\n")
-        loaded, config_text = load_embeddings_file(path)
-        assert config_text == "seed=9\n"
-        for name, arr in arrays.items():
-            assert np.array_equal(loaded[name], arr)
-
     def test_identical_content_identical_bytes(self, tmp_path):
         params = small_params()
         a, b = tmp_path / "a.ftpg", tmp_path / "b.ftpg"
@@ -69,6 +57,14 @@ class TestRoundTrip:
         path = tmp_path / "d.ftpg"
         save_checkpoint(path, small_params(), "")
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_written_through_temp_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.ftpg"
+        renamed = []
+        monkeypatch.setattr(container.os, "replace", lambda src, dst: renamed.append((src, dst)))
+        save_checkpoint(path, small_params(), "")
+        assert renamed == [(temp_path(path), path)]
+        assert temp_path(path) == f"{path}.tmp"
 
     def test_failed_replace_removes_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "e.ftpg"
@@ -92,7 +88,7 @@ class TestRoundTrip:
             "c": np.asfortranarray(grid[:2, :2]).astype(">f8"),
         }
         path = tmp_path / "exact.ftpg"
-        write_container(path, CHECKPOINT_MAGIC, arrays, "k=v\n")
+        write_container(path, arrays, "k=v\n")
         expected = b"".join([
             b"FTPG", struct.pack("<II", 1, 3),
             struct.pack("<I", 1), b"a", struct.pack("<I", 0), struct.pack("<d", -1.5),
@@ -103,19 +99,19 @@ class TestRoundTrip:
             struct.pack("<I", 4), b"k=v\n",
         ])
         assert path.read_bytes() == expected
-        loaded, _ = read_container(path, CHECKPOINT_MAGIC)
+        loaded, _ = read_container(path)
         assert loaded["a"].shape == ()
 
     def test_failed_tensor_write_removes_temp_file(self, tmp_path):
         path = tmp_path / "f.ftpg"
         with pytest.raises(ValueError):
-            write_container(path, CHECKPOINT_MAGIC, {"a": np.ones(2), "b": np.array(["x"])}, "")
+            write_container(path, {"a": np.ones(2), "b": np.array(["x"])}, "")
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_container(self, tmp_path):
-        path = tmp_path / "empty.ftpe"
-        write_container(path, EMBEDDINGS_MAGIC, {}, "nothing=here\n")
-        arrays, config_text = read_container(path, EMBEDDINGS_MAGIC)
+        path = tmp_path / "empty.ftpg"
+        write_container(path, {}, "nothing=here\n")
+        arrays, config_text = read_container(path)
         assert arrays == {}
         assert config_text == "nothing=here\n"
 
@@ -127,9 +123,11 @@ class TestRejection:
         return path, path.read_bytes()
 
     def test_wrong_magic(self, tmp_path):
-        path, _ = self.make_file(tmp_path)
-        with pytest.raises(FormatError) as err:
-            read_container(path, EMBEDDINGS_MAGIC)
+        # the magic of the retired embedding-world files among them
+        path, raw = self.make_file(tmp_path)
+        path.write_bytes(b"FTPE" + raw[4:])
+        with pytest.raises(FormatError, match="bad magic b'FTPE'") as err:
+            load_checkpoint(path)
         assert err.value.offset == 0
 
     def test_unsupported_version(self, tmp_path):
@@ -165,7 +163,7 @@ class TestRejection:
 
     def test_non_finite_values_rejected(self, tmp_path):
         path = tmp_path / "nan.ftpg"
-        write_container(path, CHECKPOINT_MAGIC, {"a": np.zeros(2)}, "")
+        write_container(path, {"a": np.zeros(2)}, "")
         raw = bytearray(path.read_bytes())
         # header 12 + name record 5 + rank 4 + one dim 4 = offset 25
         raw[25:33] = struct.pack("<d", float("nan"))

@@ -10,10 +10,8 @@ from fedprompt.seeding import rng_for
 from fedprompt.world import (
     WorldConfig,
     build_world,
-    load_embeddings,
     sample_image,
     text_feature,
-    world_arrays,
 )
 import reference_graph as ref
 
@@ -216,30 +214,3 @@ class TestTextFeature:
 
         assert ref.grad_check(loss, params) < 1e-6
 
-
-class TestPersistence:
-    def test_round_trip_bitwise(self, world):
-        rebuilt = load_embeddings(world_arrays(world), CFG)
-        assert np.array_equal(rebuilt.base_centers, world.base_centers)
-        assert np.array_equal(rebuilt.new_centers, world.new_centers)
-        assert np.array_equal(rebuilt.class_embeddings, world.class_embeddings)
-        assert np.array_equal(rebuilt.head.W2, world.head.W2)
-
-    def test_drifted_rows_renormalized(self, world):
-        arrays = world_arrays(world)
-        arrays = dict(arrays, base_centers=arrays["base_centers"] * 1.001)
-        rebuilt = load_embeddings(arrays, CFG)
-        norms = np.sqrt((rebuilt.base_centers**2).sum(axis=1))
-        assert np.allclose(norms, 1.0, rtol=0, atol=1e-9)
-
-    def test_missing_tensor_rejected(self, world):
-        arrays = world_arrays(world)
-        arrays.pop("head_W1")
-        with pytest.raises(ConfigError):
-            load_embeddings(arrays, CFG)
-
-    def test_wrong_shape_rejected(self, world):
-        arrays = dict(world_arrays(world))
-        arrays["new_centers"] = np.zeros((3, 3))
-        with pytest.raises(DimensionError):
-            load_embeddings(arrays, CFG)
