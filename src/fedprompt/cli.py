@@ -9,7 +9,7 @@ rebuild the synthetic world from the config's world keys.
 
 Exit codes: 0 on success, 1 for usage, configuration and contract errors
 (an empty path option, or an output option naming the file of another
-path option or the checkpoint's temp file, is refused before any work),
+path option, is refused before any work),
 2 for I/O and file format errors.
 """
 
@@ -31,7 +31,7 @@ from fedprompt.config import (
     parse_config_text,
     with_round_marker,
 )
-from fedprompt.container import load_checkpoint, save_checkpoint, temp_path
+from fedprompt.container import load_checkpoint, save_checkpoint
 from fedprompt.diagnostics import (
     GRADCHECK_TOLERANCE,
     composite_grad_check,
@@ -100,20 +100,15 @@ def _parser(command: str, description: str) -> _Parser:
 def _refuse_shared_paths(a, outputs, inputs) -> None:
     """Refuse, before any file is opened, an output option that names the
     file of another path option of the command: writing one would
-    destroy the other.  An output checkpoint is written to its temp file
-    first, so that file counts as one more output."""
-    named = [(flag, getattr(a, flag[2:])) for flag in outputs]
-    if "--checkpoint" in outputs:
-        named.append(("the temp file of --checkpoint", temp_path(a.checkpoint)))
-    n_written = len(named)
-    named += [(flag, getattr(a, flag[2:])) for flag in inputs]
+    destroy the other."""
+    named = [(flag, getattr(a, flag[2:])) for flag in (*outputs, *inputs)]
     first = {}  # real path -> index of the first entry naming it
-    for i, (label, path) in enumerate(named):
+    for i, (flag, path) in enumerate(named):
         if path is not None:
             real = os.path.realpath(path)
             j = first.setdefault(real, i)
-            if j != i and j < n_written:
-                raise ContractError(f"{named[j][0]} and {label} name the same file {real}")
+            if j != i and j < len(outputs):
+                raise ContractError(f"{named[j][0]} and {flag} name the same file {real}")
 
 
 def _cmd_train(args) -> int:
@@ -144,13 +139,14 @@ def _cmd_train(args) -> int:
     echo = canonical_text(cfg)
 
     # append mode opens a bad path before any work but keeps the previous
-    # run's lines until this run's first checkpoint is written
+    # run's lines until this run's first checkpoint is written; a pipe or
+    # /dev/null holds no lines to drop and cannot be truncated
     with open(a.log, "a", encoding="utf-8") as log_file:
 
         def on_round(params, log):
             # the marker counts completed rounds, so the final file reads rounds=T
             save_checkpoint(a.checkpoint, params, with_round_marker(echo, log.round + 1))
-            if log.round == 0:
+            if log.round == 0 and log_file.seekable() and log_file.tell():
                 log_file.truncate(0)
             log_file.write(log.to_json_line() + "\n")
             log_file.flush()

@@ -7,10 +7,16 @@ experiment configuration.  Tensors are written in lexicographic name
 order so identical contents produce identical bytes.  Any other magic,
 such as that of the retired embedding-world files (FTPE), is refused.
 
-Readers parse the whole file before returning anything, so a truncated
-or corrupt file raises FormatError with the failing byte offset and no
-partial state escapes.  Writes go through a temp file (temp_path) and an
-atomic rename for the same reason; a failed write removes the temp file.
+load_checkpoint parses the whole file before returning anything, so a
+truncated or corrupt file raises FormatError with the failing byte
+offset and no partial state escapes.  save_checkpoint writes to a temp
+file in the checkpoint's own directory and renames it over the
+checkpoint, for the same reason.  The temp file is <checkpoint>.<n>.tmp
+with the first n free at the time, created exclusively, so it is never
+a file that already existed: two saves to one path never share it, and
+no file other than the checkpoint is replaced.  A failed save removes
+its own temp file; one left by a crashed process is skipped by later
+saves, never touched.
 """
 
 import contextlib
@@ -34,28 +40,35 @@ _MAX_ELEMENTS = 50_000_000
 _MAX_CONFIG_LEN = 1_000_000
 
 
-def temp_path(path) -> str:
-    """The file a container is written to before it is renamed to path."""
-    return f"{path}.tmp"
+def save_checkpoint(path, params: ParameterSet, config_text: str) -> None:
+    """Write params and the config echo to path, whole or not at all.
 
-
-def write_container(path, arrays: dict[str, np.ndarray], config_text: str) -> None:
-    """Write the container straight to a temp file, piece by piece: each
-    tensor's values go out as one little-endian C-order buffer, which for
-    a float64 C-order array is the array's own memory, not a copy."""
-    tmp = temp_path(path)
+    The container goes piece by piece to this call's own temp file, then
+    is renamed over path.  Each tensor's values go out as one
+    little-endian C-order buffer, which for a Parameter's value is the
+    array's own memory, not a copy.
+    """
+    n = 0
+    while True:
+        tmp = f"{path}.{n}.tmp"
+        try:
+            # mode 0o666 less the umask, as open(path, "wb") would give
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            n += 1
     try:
-        with open(tmp, "wb") as f:
+        with open(fd, "wb") as f:
+            items = params.items()
             f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<II", CONTAINER_VERSION, len(arrays)))
-            for name in sorted(arrays):
-                arr = np.asarray(arrays[name], dtype=np.float64)
+            f.write(struct.pack("<II", CONTAINER_VERSION, len(items)))
+            for name, p in items:
                 name_b = name.encode("utf-8")
                 f.write(struct.pack("<I", len(name_b)) + name_b)
-                f.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+                f.write(struct.pack(f"<I{len(p.shape)}I", len(p.shape), *p.shape))
                 # only the buffer is taken from here: ascontiguousarray
-                # promotes rank 0 to rank 1, so the shape comes from arr
-                f.write(np.ascontiguousarray(arr, dtype="<f8").data)
+                # promotes rank 0 to rank 1, so the shape comes from p
+                f.write(np.ascontiguousarray(p.value, dtype="<f8").data)
             config_b = config_text.encode("utf-8")
             f.write(struct.pack("<I", len(config_b)) + config_b)
         os.replace(tmp, path)
@@ -67,10 +80,11 @@ def write_container(path, arrays: dict[str, np.ndarray], config_text: str) -> No
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
+        """The next n bytes, as a view that copies nothing."""
         if self.pos + n > len(self.data):
             raise FormatError(f"file truncated while reading {what}", offset=self.pos)
         out = self.data[self.pos : self.pos + n]
@@ -81,12 +95,13 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def read_container(path) -> tuple[dict[str, np.ndarray], str]:
-    """Parse a container file, returning its tensors and config echo."""
+def load_checkpoint(path) -> tuple[ParameterSet, str]:
+    """Parse the whole file at path, returning its parameters and config
+    echo, or raise FormatError at the first bad byte."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
 
-    got_magic = r.take(4, "magic")
+    got_magic = bytes(r.take(4, "magic"))
     if got_magic != CHECKPOINT_MAGIC:
         raise FormatError(f"bad magic {got_magic!r}, expected {CHECKPOINT_MAGIC!r}", offset=0)
     version = r.u32("version")
@@ -103,7 +118,7 @@ def read_container(path) -> tuple[dict[str, np.ndarray], str]:
         if name_len > _MAX_NAME_LEN:
             raise FormatError(f"implausible name length {name_len}", offset=at)
         try:
-            name = r.take(name_len, "tensor name").decode("utf-8")
+            name = str(r.take(name_len, "tensor name"), "utf-8")
         except UnicodeDecodeError:
             raise FormatError("tensor name is not valid UTF-8", offset=at) from None
         if name in arrays:
@@ -119,6 +134,7 @@ def read_container(path) -> tuple[dict[str, np.ndarray], str]:
             raise FormatError(f"implausible element count {n_elem} for {name!r}", offset=at)
         data_at = r.pos
         raw = r.take(8 * n_elem, f"values of {name!r}")
+        # the one copy: the file's bytes decoded into a native float64 array
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"non-finite values in tensor {name!r}", offset=data_at)
@@ -129,22 +145,13 @@ def read_container(path) -> tuple[dict[str, np.ndarray], str]:
     if config_len > _MAX_CONFIG_LEN:
         raise FormatError(f"implausible config length {config_len}", offset=at)
     try:
-        config_text = r.take(config_len, "config echo").decode("utf-8")
+        config_text = str(r.take(config_len, "config echo"), "utf-8")
     except UnicodeDecodeError:
         raise FormatError("config echo is not valid UTF-8", offset=at) from None
     if r.pos != len(r.data):
         raise FormatError(
             f"{len(r.data) - r.pos} trailing bytes after config echo", offset=r.pos
         )
-    return arrays, config_text
-
-
-def save_checkpoint(path, params: ParameterSet, config_text: str) -> None:
-    write_container(path, {name: p.value for name, p in params.items()}, config_text)
-
-
-def load_checkpoint(path) -> tuple[ParameterSet, str]:
-    arrays, config_text = read_container(path)
-    params = ParameterSet([Parameter(name, arr) for name, arr in arrays.items()])
+    # every check has passed, so each array is adopted, not copied again
+    params = ParameterSet([Parameter(name, arr, copy=False) for name, arr in arrays.items()])
     return params, config_text
-

@@ -301,6 +301,22 @@ class TestTrain:
         _train(tmp_path, tiny_cfg)
         assert Path(log).read_bytes() == first
 
+    def test_log_to_devnull(self, tmp_path, tiny_cfg):
+        # /dev/null cannot be truncated, and has no previous lines to drop
+        ckpt = tmp_path / "model.ftpg"
+        assert main(["train", "--config", tiny_cfg, "--checkpoint", str(ckpt),
+                     "--log", os.devnull]) == 0
+        assert extract_round(load_checkpoint(str(ckpt))[1]) == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_log_to_pipe(self, tmp_path, tiny_cfg):
+        run = _fedprompt(tmp_path, "train", "--config", tiny_cfg, "--checkpoint", "m.ftpg",
+                         "--log", "/dev/stdout")
+        assert run.returncode == 0, run.stderr
+        lines = [json.loads(l) for l in run.stdout.splitlines() if l.startswith("{")]
+        assert [l["round"] for l in lines] == [0, 1]
+        assert extract_round(load_checkpoint(str(tmp_path / "m.ftpg"))[1]) == 2
+
     def test_round_line_prints_small_rate_readably(self, tmp_path, tiny_cfg, capsys):
         # six significant digits, not six decimals: 1e-9 would print 0.000000
         _train(tmp_path, tiny_cfg, "--set", "optimizer.lr0=1e-9")
@@ -522,7 +538,8 @@ class TestSelftest:
 
 class TestSharedPaths:
     """An output option naming another path option's file is refused
-    before any file is opened, and the other file keeps its bytes."""
+    before any file is opened, and the other file keeps its bytes.  A
+    name no option gives, such as <checkpoint>.tmp, is no such file."""
 
     def test_eval_out_naming_the_checkpoint(self, tmp_path, tiny_cfg, capsys):
         ckpt, _ = _train(tmp_path, tiny_cfg)
@@ -542,27 +559,53 @@ class TestSharedPaths:
         assert "--checkpoint and --log name the same file" in capsys.readouterr().err
         assert Path(log).read_bytes() == before
 
-    def test_train_log_naming_the_checkpoint_temp_file(self, tmp_path, tiny_cfg, capsys):
-        # the checkpoint is written to <checkpoint>.tmp and renamed
+    def test_train_log_naming_the_checkpoint_temp_file(self, tmp_path, tiny_cfg):
+        # <checkpoint>.tmp is no file of a save: the log may have that name
         ckpt = tmp_path / "m.ftpg"
-        code = main(["train", "--config", tiny_cfg, "--set", "federation.rounds=1",
-                     "--checkpoint", str(ckpt), "--log", f"{ckpt}.tmp"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "--log and the temp file of --checkpoint name the same file" in err
-        assert list(tmp_path.iterdir()) == [Path(tiny_cfg)]
+        log = tmp_path / "m.ftpg.tmp"
+        code = main(["train", "--config", tiny_cfg, "--checkpoint", str(ckpt),
+                     "--log", str(log)])
+        assert code == 0
+        assert sorted(tmp_path.iterdir()) == sorted([ckpt, log, Path(tiny_cfg)])
+        assert [json.loads(l)["round"] for l in log.read_text().splitlines()] == [0, 1]
+        assert extract_round(load_checkpoint(str(ckpt))[1]) == 2
 
-    def test_train_config_naming_the_checkpoint_temp_file(self, tmp_path, capsys):
+    def test_train_config_naming_the_checkpoint_temp_file(self, tmp_path):
         ckpt = tmp_path / "m.ftpg"
         config = tmp_path / "m.ftpg.tmp"
         config.write_text(TINY)
+        log = tmp_path / "log.jsonl"
         code = main(["train", "--config", str(config), "--checkpoint", str(ckpt),
-                     "--log", str(tmp_path / "log.jsonl")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "the temp file of --checkpoint and --config name the same file" in err
-        assert list(tmp_path.iterdir()) == [config]
+                     "--log", str(log)])
+        assert code == 0
+        assert sorted(tmp_path.iterdir()) == sorted([ckpt, config, log])
         assert config.read_text() == TINY
+        assert extract_round(load_checkpoint(str(ckpt))[1]) == 2
+
+
+def test_commands_write_only_the_files_they_name(tmp_path, tiny_cfg, monkeypatch):
+    """train, eval and report leave every other file in their directory
+    as it was, decoys with a save's old temp name included, and write
+    their outputs with the mode open() gives a new file."""
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    decoys = {"model.ftpg.tmp": b"keep", "model.ftpg.0.tmp": b"keep 0"}
+    for name, data in decoys.items():
+        (run / name).write_bytes(data)
+    umask = os.umask(0o027)
+    try:
+        assert main(["train", "--config", tiny_cfg, "--checkpoint", "model.ftpg",
+                     "--log", "log.jsonl"]) == 0
+        assert main(["eval", "--checkpoint", "model.ftpg", "--out", "eval.json"]) == 0
+        assert main(["report", "--out-dir", "rep"]) == 0
+    finally:
+        os.umask(umask)
+    outputs = {"model.ftpg", "log.jsonl", "eval.json", "rep"}
+    assert {p.name for p in run.iterdir()} == set(decoys) | outputs
+    assert {name: (run / name).read_bytes() for name in decoys} == decoys
+    assert all((run / name).stat().st_mode & 0o777 == 0o640
+               for name in ("model.ftpg", "log.jsonl", "eval.json"))
 
 
 # for each key, a valid value other than the one the run below uses
