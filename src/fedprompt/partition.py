@@ -2,10 +2,10 @@
 
 Clients see non-overlapping class subsets: a seeded shuffle of the base
 class ids is cut into consecutive blocks, one block per client.  Each
-client then samples a fixed number of shots per class.  Every
-(client, class) pair draws from its own derived stream, so one client's
-data never depends on how many other clients exist or in what order
-datasets are built.
+client then samples a fixed number of shots per class, all its classes
+in one call to the world's sampler.  Every (client, class) pair draws
+from its own derived stream, so one client's data never depends on how
+many other clients exist or in what order datasets are built.
 """
 
 from dataclasses import dataclass
@@ -64,16 +64,15 @@ def build_client_dataset(
     """Sample the few-shot training set for one client.
 
     Shots for each class come from the stream derived from
-    (seed, "data", client_id, class_id), in local label order.
+    (seed, "data", client_id, class_id), in local label order; images is
+    the sampler's [k, shots, d] class set viewed as [k * shots, d] rows.
     """
     if shots < 1:
         raise ConfigError(f"shots must be positive, got {shots}")
     class_ids = tuple(sorted(int(c) for c in client_classes))
     if len(set(class_ids)) != len(class_ids):
         raise ConfigError("client class list contains duplicates")
-    images = [
-        sample_image(world, class_id, rng_for(seed, "data", client_id, class_id), shots)
-        for class_id in class_ids
-    ]
+    rngs = [rng_for(seed, "data", client_id, class_id) for class_id in class_ids]
+    images = sample_image(world, class_ids, rngs, shots).reshape(-1, world.cfg.d)
     labels = np.repeat(np.arange(len(class_ids), dtype=np.int64), shots)
-    return FewShotSet(class_ids, np.concatenate(images), labels)
+    return FewShotSet(class_ids, images, labels)

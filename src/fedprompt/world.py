@@ -5,6 +5,9 @@ each class is a random unit direction, images are noisy draws around it,
 and the class-name embedding is a separately perturbed copy of the same
 direction.  Novel classes live between random pairs of base classes so
 they are related to, but distinct from, anything seen in training.
+Images are sampled for a whole class set at once, each class from its
+own random stream, so a class's images never depend on which classes
+are drawn beside it.
 
 A small frozen two-layer head, with QuickGELU between its layers, turns
 prompt context vectors into an additive correction on the class-name
@@ -97,8 +100,10 @@ class SyntheticWorld:
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    return x / np.maximum(norms, 1e-8)
+    """x with every row along its last axis scaled to unit norm, in place."""
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    x /= np.maximum(norms, 1e-8)
+    return x
 
 
 def build_world(cfg: WorldConfig) -> SyntheticWorld:
@@ -136,16 +141,26 @@ def build_world(cfg: WorldConfig) -> SyntheticWorld:
 
 
 def sample_image(
-    world: SyntheticWorld, class_id: int, rng: np.random.Generator, n: int
+    world: SyntheticWorld, class_ids, rngs, n: int
 ) -> np.ndarray:
-    """n unit-norm image embeddings [n, d] for the given class.
+    """n unit-norm image embeddings per class, [k, n, d] for k class ids.
 
-    One [n, d] draw takes the same values, row by row, as n draws of d.
+    Class i's rows come from rngs[i] alone, as one [n, d] draw, which takes
+    the same values, row by row, as n draws of d; every float operation on
+    a row is the same as for a class sampled on its own.  Zero image noise
+    takes no draw and repeats each center bitwise.
     """
-    center = world.center(class_id)
+    centers = np.stack([world.center(class_id) for class_id in class_ids])
+    if len(rngs) != len(centers):
+        raise DimensionError(f"{len(centers)} classes need as many streams, got {len(rngs)}")
     if world.cfg.sigma_img == 0.0:
-        return np.tile(center, (n, 1))
-    return _unit_rows(center + world.cfg.sigma_img * rng.standard_normal((n, world.cfg.d)))
+        return np.repeat(centers[:, None, :], n, axis=1)
+    x = np.empty((len(centers), n, world.cfg.d))
+    for rows, rng in zip(x, rngs):
+        rng.standard_normal(rows.shape, out=rows)
+    x *= world.cfg.sigma_img
+    x += centers[:, None, :]
+    return _unit_rows(x)
 
 
 def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> DiffNode:

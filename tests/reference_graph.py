@@ -25,7 +25,13 @@ The package's grad_check evaluates its central differences as stacked
 parameter sets.  grad_check here is the per-coordinate loop it
 replaced, one loss per perturbed value, so it also checks losses that
 only take 2-D operands, like the small ops above, and the tests can
-hold the stacked check to it.  Nothing here is used outside tests/.
+hold the stacked check to it.
+
+The package samples a whole class set's images in one call and scores
+an evaluation split in blocks of classes.  sample_image and evaluate
+here are the one-class-at-a-time forms they replaced: one [n, d] draw
+per class from its own stream, and one logits product, argmax and
+count per class.  Nothing here is used outside tests/.
 """
 
 import numpy as np
@@ -33,7 +39,9 @@ import numpy as np
 from fedprompt import autograd as ag
 from fedprompt.autograd import DiffNode, Parameter, ParameterSet, require_finite
 from fedprompt.errors import DimensionError
+from fedprompt.evaluation import class_features, split_class_ids
 from fedprompt.federation import ClientUpdate, class_text_features as fused_features
+from fedprompt.seeding import rng_for
 from fedprompt.translator import LAYER_NORM_EPS
 from fedprompt.world import L2_NORM_EPS
 
@@ -278,3 +286,24 @@ def grad_check(loss_fn, params: ParameterSet, h: float = 1e-5) -> float:
         for p in params:
             p.value = originals[p.name]
     return worst
+
+
+def sample_image(world, class_id: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """world.sample_image for one class: [n, d] unit rows from one draw."""
+    center = world.center(class_id)
+    if world.cfg.sigma_img == 0.0:
+        return np.tile(center, (n, 1))
+    x = center + world.cfg.sigma_img * rng.standard_normal((n, world.cfg.d))
+    return x / np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), L2_NORM_EPS)
+
+
+def evaluate(params, world, trans_cfg, split, n_test, temperature, seed) -> float:
+    """evaluation.evaluate scoring one class at a time."""
+    class_ids = split_class_ids(world, split)
+    feats = class_features(params, world, trans_cfg, class_ids)
+    correct = 0
+    for local, class_id in enumerate(class_ids):
+        images = sample_image(world, class_id, rng_for(seed, "eval", split, class_id), n_test)
+        logits = images @ feats.T / temperature
+        correct += int((logits.argmax(axis=1) == local).sum())
+    return 100.0 * correct / (n_test * len(class_ids))

@@ -260,12 +260,12 @@ def test_full_run_determinism(tmp_path):
         assert main(["eval", "--checkpoint", ckpt, "--out", ev]) == 0
         assert main(["report", "--out-dir", rep]) == 0
         blobs = {
-            "checkpoint": open(ckpt, "rb").read(),
-            "log": open(log, "rb").read(),
-            "eval": open(ev, "rb").read(),
+            "checkpoint": Path(ckpt).read_bytes(),
+            "log": Path(log).read_bytes(),
+            "eval": Path(ev).read_bytes(),
         }
         for name in ("summary.csv", "summary.json", "comparison.csv", "error_rates.svg", "gaps.svg"):
-            blobs[name] = open(f"{rep}/{name}", "rb").read()
+            blobs[name] = Path(rep, name).read_bytes()
         outputs.append(blobs)
 
     mismatched = [k for k in outputs[0] if outputs[0][k] != outputs[1][k]]

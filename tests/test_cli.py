@@ -198,7 +198,7 @@ class TestTrain:
         ckpt, log = _train(tmp_path, tiny_cfg)
         params, echo = load_checkpoint(ckpt)
         assert extract_round(echo) == 2
-        lines = [json.loads(l) for l in open(log)]
+        lines = [json.loads(l) for l in Path(log).read_text(encoding="utf-8").splitlines()]
         assert [l["round"] for l in lines] == [0, 1]
         assert all(l["selected"] == [0, 1] for l in lines)
 
@@ -214,8 +214,8 @@ class TestTrain:
         b.mkdir()
         ckpt_a, log_a = _train(a, tiny_cfg)
         ckpt_b, log_b = _train(b, tiny_cfg)
-        assert open(ckpt_a, "rb").read() == open(ckpt_b, "rb").read()
-        assert open(log_a).read() == open(log_b).read()
+        assert Path(ckpt_a).read_bytes() == Path(ckpt_b).read_bytes()
+        assert Path(log_a).read_bytes() == Path(log_b).read_bytes()
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "absent.cfg"),
@@ -352,7 +352,7 @@ class TestEval:
         ckpt, _ = _train(tmp_path, tiny_cfg)
         out = str(tmp_path / "eval.json")
         assert main(["eval", "--checkpoint", ckpt, "--out", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text(encoding="utf-8"))
         assert set(payload) >= {"base", "new", "gap", "zero_context_baseline"}
         assert "checkpoint after round 2" in capsys.readouterr().out
 
@@ -383,7 +383,7 @@ class TestEval:
         assert np.array_equal(params.flatten(), init.flatten())
         out = str(tmp_path / "eval.json")
         assert main(["eval", "--checkpoint", ckpt, "--out", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text(encoding="utf-8"))
         assert payload["base"] == payload["zero_context_baseline"]["base"]
         assert payload["new"] == payload["zero_context_baseline"]["new"]
 
@@ -487,9 +487,7 @@ class TestReport:
         assert main(["report", "--out-dir", a]) == 0
         assert main(["report", "--out-dir", b]) == 0
         for name in ("comparison.csv", "summary.csv", "summary.json", "error_rates.svg", "gaps.svg"):
-            assert (
-                open(f"{a}/{name}", "rb").read() == open(f"{b}/{name}", "rb").read()
-            ), name
+            assert Path(a, name).read_bytes() == Path(b, name).read_bytes(), name
 
     def test_report_bytes_are_pinned(self, tmp_path, capsys):
         # the report is derived from embedded constants only, so its bytes

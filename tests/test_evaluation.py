@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedprompt import evaluation
 from fedprompt.errors import ConfigError, ContractError
 from fedprompt.evaluation import (
     EvalResult,
@@ -11,9 +12,12 @@ from fedprompt.evaluation import (
     evaluate_both_splits,
     split_class_ids,
 )
-from fedprompt.federation import class_logits
+from fedprompt.federation import OptimizerConfig, class_logits, run_training
+from fedprompt.partition import build_client_dataset, partition_classes
+from fedprompt.seeding import rng_for
 from fedprompt.translator import TranslatorConfig, init_translator_params
 from fedprompt.world import WorldConfig, build_world
+import reference_graph as ref
 
 TRANS = TranslatorConfig(d_model=16, n_ctx=2, ffn_mult=2)
 
@@ -115,3 +119,78 @@ class TestBothSplits:
         res = evaluate_both_splits(None, world, TRANS, 10, 0.01, seed=3)
         assert isinstance(res, EvalResult)
         assert abs(res.gap - (res.new_acc - res.base_acc)) < 1e-9
+
+
+# d=16 worlds with a one-class new split, with and without image noise
+# (text noise keeps the noiseless one below 100% on base), and a d=128
+# world whose base split spans many blocks
+BLOCK_WORLDS = {
+    "d16": WorldConfig(d=16, n_base=10, n_new=1, sigma_img=0.3, sigma_text=0.1, seed=4),
+    "d16_no_image_noise": WorldConfig(d=16, n_base=10, n_new=1, sigma_img=0.0,
+                                      sigma_text=1.0, seed=4),
+    "d128": WorldConfig(d=128, n_base=120, n_new=20, sigma_img=0.25, sigma_text=0.2, seed=4),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BLOCK_WORLDS))
+def block_case(request):
+    """A world, its translator config and two parameter sets: None (zero
+    context) and the result of two federated rounds on it."""
+    cfg = BLOCK_WORLDS[request.param]
+    w = build_world(cfg)
+    tcfg = TranslatorConfig(d_model=cfg.d, n_ctx=2, ffn_mult=2)
+    blocks = partition_classes(cfg.n_base, 2, 3, seed=1)
+    datasets = {c: build_client_dataset(w, b, 2, 1, c) for c, b in enumerate(blocks)}
+    opt = OptimizerConfig(lr0=0.05, temperature=0.5, batch_size=4)
+    trained, _ = run_training(w, datasets, opt, tcfg, init_translator_params(tcfg, 1),
+                              total_rounds=2, epochs_per_round=1, fraction=1.0, seed=1)
+    return w, tcfg, (None, trained)
+
+
+class TestBlocks:
+    # block_classes None keeps the module's BLOCK_BYTES; 3 shrinks a block
+    # to three classes, which divides neither a 10-, 1- nor 20-class split
+    @pytest.mark.parametrize("block_classes", [None, 3])
+    @pytest.mark.parametrize("n_test", [1, 7, 50])
+    def test_accuracies_equal_per_class_loop(self, block_case, n_test, block_classes,
+                                             monkeypatch):
+        w, tcfg, param_sets = block_case
+        if block_classes is not None:
+            monkeypatch.setattr(evaluation, "BLOCK_BYTES", block_classes * n_test * w.cfg.d * 8)
+        for params in param_sets:
+            for split in ("base", "new"):
+                got = evaluate(params, w, tcfg, split, n_test, 0.07, seed=3)
+                want = ref.evaluate(params, w, tcfg, split, n_test, 0.07, seed=3)
+                assert got == want, (split, params is None)
+
+    def test_default_block_splits_unevenly(self):
+        # 120 classes of 7 samples at d=128 do not fill a whole number of blocks
+        per_block = evaluation.BLOCK_BYTES // (7 * 128 * 8)
+        assert 1 < per_block < 120 and 120 % per_block
+
+    @pytest.mark.parametrize("n_test", [1, 7, 50])
+    def test_block_logits_equal_per_class_logits_bitwise(self, block_case, n_test,
+                                                         monkeypatch):
+        # the samples evaluate draws keep every product taken with them, so
+        # the scores it argmaxes can be held to the per-class products
+        products = []
+
+        class Recorded(np.ndarray):
+            def __matmul__(self, other):
+                out = np.asarray(self) @ other
+                products.append(out)
+                return out
+
+        sample = evaluation.sample_image
+        monkeypatch.setattr(evaluation, "sample_image", lambda *a: sample(*a).view(Recorded))
+        w, tcfg, param_sets = block_case
+        ids = split_class_ids(w, "base")
+        for params in param_sets:
+            products.clear()
+            evaluate(params, w, tcfg, "base", n_test, 0.07, seed=3)
+            feats = class_features(params, w, tcfg, ids)
+            scores = np.concatenate(products)
+            assert scores.shape == (len(ids), n_test, len(ids))
+            for i, class_id in enumerate(ids):
+                one = ref.sample_image(w, class_id, rng_for(3, "eval", "base", class_id), n_test)
+                assert scores[i].tobytes() == (one @ feats.T / 0.07).tobytes()

@@ -5,7 +5,9 @@ import pytest
 
 from fedprompt.errors import ConfigError
 from fedprompt.partition import build_client_dataset, partition_classes
+from fedprompt.seeding import rng_for
 from fedprompt.world import WorldConfig, build_world
+import reference_graph as ref
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +86,20 @@ class TestClientDataset:
     def test_zero_shots_rejected(self, world):
         with pytest.raises(ConfigError):
             build_client_dataset(world, [1], shots=0, seed=7, client_id=0)
+
+    @pytest.mark.parametrize("sigma_img", [0.25, 0.0])
+    @pytest.mark.parametrize("d", [16, 129])
+    def test_images_equal_per_class_draws_bitwise(self, d, sigma_img):
+        # the training data, and so the training fingerprint, is each
+        # class's own draw from its (seed, "data", client, class) stream
+        w = build_world(WorldConfig(d=d, n_base=30, n_new=5, sigma_img=sigma_img, seed=9))
+        ds = build_client_dataset(w, [21, 4, 13, 0], shots=5, seed=8, client_id=3)
+        images = np.concatenate([
+            ref.sample_image(w, class_id, rng_for(8, "data", 3, class_id), 5)
+            for class_id in (0, 4, 13, 21)
+        ])
+        labels = np.repeat(np.arange(4, dtype=np.int64), 5)
+        assert ds.images.shape == (20, d) and ds.images.flags.c_contiguous
+        assert ds.images.tobytes() == images.tobytes()
+        assert ds.labels.dtype == labels.dtype
+        assert ds.labels.tobytes() == labels.tobytes()

@@ -86,44 +86,60 @@ class TestImages:
     def test_zero_noise_returns_center_bitwise(self):
         cfg = WorldConfig(d=16, n_base=4, n_new=0, sigma_img=0.0, seed=3)
         w = build_world(cfg)
-        imgs = sample_image(w, 2, np.random.default_rng(0), 3)
-        assert imgs.shape == (3, 16)
-        assert all(np.array_equal(img, w.base_centers[2]) for img in imgs)
+        imgs = sample_image(w, [2, 0], [np.random.default_rng(0), np.random.default_rng(1)], 3)
+        assert imgs.shape == (2, 3, 16)
+        assert all(np.array_equal(img, w.base_centers[2]) for img in imgs[0])
+        assert all(np.array_equal(img, w.base_centers[0]) for img in imgs[1])
 
     def test_unit_norm(self, world):
         rng = np.random.default_rng(1)
-        for class_id in (0, 33, 79):
-            imgs = sample_image(world, class_id, rng, 5)
-            assert np.max(np.abs(np.linalg.norm(imgs, axis=1) - 1.0)) < 1e-9
+        imgs = sample_image(world, [0, 33, 79], [rng, rng, rng], 5)
+        assert imgs.shape == (3, 5, CFG.d)
+        assert np.max(np.abs(np.linalg.norm(imgs, axis=-1) - 1.0)) < 1e-9
 
     def test_mean_cosine_matches_noise_level(self, world):
         # cos to the center concentrates near 1/sqrt(1 + sigma^2 d); for
         # sigma 0.1 and d 32 that is about 0.87
-        cos = sample_image(world, 0, np.random.default_rng(2), 1000) @ world.base_centers[0]
+        imgs = sample_image(world, [0], [np.random.default_rng(2)], 1000)[0]
+        cos = imgs @ world.base_centers[0]
         assert 0.85 < np.mean(cos) < 0.89
 
     def test_images_cluster_around_own_center(self, world):
         rng = np.random.default_rng(3)
         centers = np.concatenate([world.base_centers, world.new_centers])
-        hits = 0
-        for class_id in range(0, 80, 4):
-            imgs = sample_image(world, class_id, rng, 5)
-            hits += int(((imgs @ centers.T).argmax(axis=1) == class_id).sum())
+        ids = list(range(0, 80, 4))
+        imgs = sample_image(world, ids, [rng] * len(ids), 5)
+        hits = int(((imgs @ centers.T).argmax(axis=-1) == np.array(ids)[:, None]).sum())
         assert hits >= 95  # of 100
 
     def test_bad_class_id(self, world):
         with pytest.raises(IndexError):
-            sample_image(world, 80, np.random.default_rng(0), 1)
+            sample_image(world, [0, 80], [np.random.default_rng(0)] * 2, 1)
+
+    def test_one_stream_per_class(self, world):
+        with pytest.raises(DimensionError):
+            sample_image(world, [0, 1], [np.random.default_rng(0)], 1)
 
     @pytest.mark.parametrize("sigma_img", [0.25, 0.0])
     @pytest.mark.parametrize("d", [16, 129])
     def test_n_draws_equal_n_single_draws_bitwise(self, sigma_img, d):
         w = build_world(WorldConfig(d=d, n_base=4, n_new=2, sigma_img=sigma_img, seed=9))
-        batched = sample_image(w, 5, np.random.default_rng(4), 7)
+        batched = sample_image(w, [5], [np.random.default_rng(4)], 7)[0]
         rng = np.random.default_rng(4)
-        single = np.concatenate([sample_image(w, 5, rng, 1) for _ in range(7)])
+        single = np.concatenate([sample_image(w, [5], [rng], 1)[0] for _ in range(7)])
         assert batched.shape == (7, d)
         assert batched.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("sigma_img", [0.25, 0.0])
+    @pytest.mark.parametrize("d", [16, 129])
+    def test_class_set_equals_per_class_draws_bitwise(self, sigma_img, d):
+        w = build_world(WorldConfig(d=d, n_base=4, n_new=2, sigma_img=sigma_img, seed=9))
+        ids = [5, 0, 3]
+        imgs = sample_image(w, ids, [np.random.default_rng(10 + c) for c in ids], 6)
+        assert imgs.shape == (3, 6, d)
+        for rows, class_id in zip(imgs, ids):
+            one = ref.sample_image(w, class_id, np.random.default_rng(10 + class_id), 6)
+            assert rows.tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("n_new", [0, 3])
     @pytest.mark.parametrize("sigma_text", [0.05, 1.0])
