@@ -18,7 +18,7 @@ import numpy as np
 from fedprompt.autograd import ParameterSet
 from fedprompt.errors import ConfigError, ContractError
 from fedprompt.federation import class_text_features
-from fedprompt.seeding import rng_for
+from fedprompt.seeding import rngs_for
 from fedprompt.translator import TranslatorConfig
 from fedprompt.world import SyntheticWorld, sample_image
 
@@ -81,7 +81,8 @@ def evaluate(
     The label space is exactly the split's classes.  Text features for
     the whole split come from one graph.  Each class draws its n_test
     samples from its own stream, and each sample is assigned to the
-    feature with the highest cosine/temperature score.  The split is
+    feature with the highest cosine/temperature score.  The streams of
+    the whole split are built in one pass.  The split is
     scored in blocks of consecutive classes whose samples fit in
     BLOCK_BYTES; a block's [b, n_test, k] logits come from one stacked
     matmul, which multiplies each class's samples as its own product, so
@@ -93,12 +94,13 @@ def evaluate(
         raise ConfigError(f"temperature must be positive, got {temperature}")
     class_ids = split_class_ids(world, split)
     feats = class_features(params, world, trans_cfg, class_ids)
+    rngs = rngs_for(seed, "eval", split, ids=class_ids)
     per_block = max(1, BLOCK_BYTES // (n_test * world.cfg.d * 8))
     correct = 0
     for start in range(0, len(class_ids), per_block):
-        block = class_ids[start : start + per_block]
-        rngs = [rng_for(seed, "eval", split, class_id) for class_id in block]
-        logits = sample_image(world, block, rngs, n_test) @ feats.T
+        stop = start + per_block
+        block = class_ids[start:stop]
+        logits = sample_image(world, block, rngs[start:stop], n_test) @ feats.T
         logits /= temperature
         labels = np.arange(start, start + len(block))[:, None]
         correct += np.count_nonzero(logits.argmax(axis=-1) == labels)

@@ -77,8 +77,7 @@ class FrozenTextHead:
 @dataclass(frozen=True)
 class SyntheticWorld:
     cfg: WorldConfig
-    base_centers: np.ndarray  # [n_base, d], unit rows
-    new_centers: np.ndarray  # [n_new, d], unit rows
+    centers: np.ndarray  # [n_base + n_new, d], unit rows, base classes first
     class_embeddings: np.ndarray  # [n_base + n_new, d], unit rows
     head: FrozenTextHead
 
@@ -90,13 +89,20 @@ class SyntheticWorld:
     def new_ids(self) -> range:
         return range(self.cfg.n_base, self.cfg.n_classes)
 
+    def class_centers(self, class_ids) -> np.ndarray:
+        """[k, d] centers of k class ids, gathered by one index.
+
+        An id outside [0, n_classes) raises IndexError; a negative id
+        would otherwise count back from the last class.
+        """
+        ids = np.asarray(class_ids)
+        outside = (ids < 0) | (ids >= self.cfg.n_classes)
+        if outside.any():
+            raise IndexError(f"class id {ids[outside][0]} out of range")
+        return self.centers[ids]
+
     def center(self, class_id: int) -> np.ndarray:
-        n_base = self.cfg.n_base
-        if 0 <= class_id < n_base:
-            return self.base_centers[class_id]
-        if class_id < self.cfg.n_classes:
-            return self.new_centers[class_id - n_base]
-        raise IndexError(f"class id {class_id} out of range")
+        return self.class_centers([class_id])[0]
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -137,7 +143,7 @@ def build_world(cfg: WorldConfig) -> SyntheticWorld:
         W1=rng.standard_normal((cfg.d, cfg.d)) / np.sqrt(cfg.d),
         W2=rng.standard_normal((cfg.d, cfg.d)) / np.sqrt(cfg.d),
     )
-    return SyntheticWorld(cfg, base, new, emb, head)
+    return SyntheticWorld(cfg, centers, emb, head)
 
 
 def sample_image(
@@ -150,7 +156,7 @@ def sample_image(
     a row is the same as for a class sampled on its own.  Zero image noise
     takes no draw and repeats each center bitwise.
     """
-    centers = np.stack([world.center(class_id) for class_id in class_ids])
+    centers = world.class_centers(class_ids)
     if len(rngs) != len(centers):
         raise DimensionError(f"{len(centers)} classes need as many streams, got {len(rngs)}")
     if world.cfg.sigma_img == 0.0:

@@ -228,7 +228,7 @@ class TestTrain:
         ckpt, _ = _train(tmp_path, tiny_cfg, "--set", "world.n_new=3")
         _, echo = load_checkpoint(ckpt)
         cfg = build_config(parse_config_text(echo))
-        assert build_world(cfg.world).new_centers.shape == (3, 16)
+        assert build_world(cfg.world).centers.shape == (cfg.world.n_base + 3, 16)
 
     def test_bad_override_key(self, tmp_path, tiny_cfg, capsys):
         code = main(["train", "--config", tiny_cfg, "--set", "world.zzz=1",
@@ -530,7 +530,7 @@ class TestSelftest:
     def test_selftest_passes_on_clean_build(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert "6/6 passed" in out
+        assert "7/7 passed" in out
         assert "FAIL" not in out
 
 
@@ -645,8 +645,7 @@ def _results(run_dir, tiny_cfg, *overrides):
     assert main(["eval", "--checkpoint", ckpt, "--out", out]) == 0
     # some world keys move only the world, not the tiny run's log or scores
     world = build_world(load_config(tiny_cfg, items).world)
-    arrays = (world.base_centers, world.new_centers, world.class_embeddings,
-              world.head.W1, world.head.W2)
+    arrays = (world.centers, world.class_embeddings, world.head.W1, world.head.W2)
     params, _ = load_checkpoint(ckpt)
     return (
         [(a.shape, a.tobytes()) for a in arrays],

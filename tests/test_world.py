@@ -42,17 +42,16 @@ class TestConfig:
 class TestGeometry:
     def test_deterministic(self, world):
         again = build_world(CFG)
-        assert np.array_equal(world.base_centers, again.base_centers)
-        assert np.array_equal(world.new_centers, again.new_centers)
+        assert np.array_equal(world.centers, again.centers)
         assert np.array_equal(world.class_embeddings, again.class_embeddings)
         assert np.array_equal(world.head.W1, again.head.W1)
 
     def test_seed_matters(self, world):
         other = build_world(WorldConfig(d=32, n_base=60, n_new=20, seed=78))
-        assert not np.array_equal(world.base_centers, other.base_centers)
+        assert not np.array_equal(world.centers[world.base_ids], other.centers[other.base_ids])
 
     def test_unit_norms(self, world):
-        for rows in (world.base_centers, world.new_centers, world.class_embeddings):
+        for rows in (world.centers, world.class_embeddings):
             norms = np.sqrt((rows * rows).sum(axis=1))
             assert np.allclose(norms, 1.0, rtol=0, atol=1e-9)
 
@@ -63,22 +62,20 @@ class TestGeometry:
     def test_new_centers_lie_near_base_mass(self, world):
         # every novel center is a normalized blend of two base centers, so
         # its best base cosine is far above the random-direction level
-        cos = world.new_centers @ world.base_centers.T
+        cos = world.centers[world.new_ids] @ world.centers[world.base_ids].T
         assert cos.max(axis=1).min() > 0.3
 
     def test_new_centers_distinct_from_base(self, world):
-        cos = world.new_centers @ world.base_centers.T
+        cos = world.centers[world.new_ids] @ world.centers[world.base_ids].T
         assert cos.max() < 0.999
 
     def test_zero_text_noise_reproduces_centers_bitwise(self):
         cfg = WorldConfig(d=16, n_base=10, n_new=4, sigma_text=0.0, seed=5)
         w = build_world(cfg)
-        assert np.array_equal(w.class_embeddings[:10], w.base_centers)
-        assert np.array_equal(w.class_embeddings[10:], w.new_centers)
+        assert np.array_equal(w.class_embeddings, w.centers)
 
     def test_embeddings_stay_nearest_own_center(self, world):
-        centers = np.concatenate([world.base_centers, world.new_centers])
-        cos = world.class_embeddings @ centers.T
+        cos = world.class_embeddings @ world.centers.T
         assert np.array_equal(cos.argmax(axis=1), np.arange(80))
 
 
@@ -88,8 +85,8 @@ class TestImages:
         w = build_world(cfg)
         imgs = sample_image(w, [2, 0], [np.random.default_rng(0), np.random.default_rng(1)], 3)
         assert imgs.shape == (2, 3, 16)
-        assert all(np.array_equal(img, w.base_centers[2]) for img in imgs[0])
-        assert all(np.array_equal(img, w.base_centers[0]) for img in imgs[1])
+        assert all(np.array_equal(img, w.centers[2]) for img in imgs[0])
+        assert all(np.array_equal(img, w.centers[0]) for img in imgs[1])
 
     def test_unit_norm(self, world):
         rng = np.random.default_rng(1)
@@ -101,20 +98,34 @@ class TestImages:
         # cos to the center concentrates near 1/sqrt(1 + sigma^2 d); for
         # sigma 0.1 and d 32 that is about 0.87
         imgs = sample_image(world, [0], [np.random.default_rng(2)], 1000)[0]
-        cos = imgs @ world.base_centers[0]
+        cos = imgs @ world.centers[0]
         assert 0.85 < np.mean(cos) < 0.89
 
     def test_images_cluster_around_own_center(self, world):
         rng = np.random.default_rng(3)
-        centers = np.concatenate([world.base_centers, world.new_centers])
         ids = list(range(0, 80, 4))
         imgs = sample_image(world, ids, [rng] * len(ids), 5)
-        hits = int(((imgs @ centers.T).argmax(axis=-1) == np.array(ids)[:, None]).sum())
+        hits = int(((imgs @ world.centers.T).argmax(axis=-1) == np.array(ids)[:, None]).sum())
         assert hits >= 95  # of 100
 
     def test_bad_class_id(self, world):
         with pytest.raises(IndexError):
             sample_image(world, [0, 80], [np.random.default_rng(0)] * 2, 1)
+
+    # a negative id once counted back from the last class: in a 2+20
+    # world center(-1) was class 19's center, in the default world it hit
+    # numpy's own bounds error
+    @pytest.mark.parametrize("cfg", [WorldConfig(d=8, n_base=2, n_new=20, seed=1), WorldConfig()],
+                             ids=["n_base2_n_new20", "default"])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_class_id_outside_world_refused(self, cfg, side):
+        w = build_world(cfg)
+        class_id = -1 if side == "below" else cfg.n_classes
+        match = f"class id {class_id} out of range"
+        with pytest.raises(IndexError, match=match):
+            w.center(class_id)
+        with pytest.raises(IndexError, match=match):
+            sample_image(w, [0, class_id], [np.random.default_rng(0)] * 2, 1)
 
     def test_one_stream_per_class(self, world):
         with pytest.raises(DimensionError):
@@ -153,10 +164,9 @@ class TestImages:
         for _ in range(n_new):
             rng.choice(cfg.n_base, size=2, replace=False)
             rng.uniform(cfg.interp_lo, cfg.interp_hi)
-        centers = np.concatenate([w.base_centers, w.new_centers])
-        emb = np.empty_like(centers)
+        emb = np.empty_like(w.centers)
         for c in range(cfg.n_classes):
-            noisy = centers[c] + sigma_text * rng.standard_normal(d)
+            noisy = w.centers[c] + sigma_text * rng.standard_normal(d)
             emb[c] = noisy / max(np.sqrt((noisy * noisy).sum()), 1e-8)
         W1 = rng.standard_normal((d, d)) / np.sqrt(d)
         W2 = rng.standard_normal((d, d)) / np.sqrt(d)
