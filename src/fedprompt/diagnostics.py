@@ -71,10 +71,13 @@ def _grad_check_instance() -> tuple[ParameterSet, Callable[[], ag.Loss]]:
 
     The loss covers the whole composite: context generation, the frozen
     text head, cosine scoring, and cross-entropy, at width 16 with 4
-    context vectors over a 2-image batch.  It broadcasts its class ids,
-    images and labels over the leading axes of the parameter values, as
-    grad_check asks: plain values give the one probe loss, values stacked
-    [n, *shape] give n losses over the same batch.
+    context vectors over a 2-image batch.  Its class ids and images stay
+    plain and broadcast against whatever leads the parameter values
+    hold, as grad_check asks; only the labels take the logits' lead.
+    Plain values give the one probe loss, and one value stacked
+    [n, *shape] with every other at lead 1 gives n losses over the same
+    batch, computing the part of the loss upstream of the stacked
+    tensor once.
     """
     seed = GRADCHECK_SEED
     # noise levels pinned so recalibrating the production defaults
@@ -102,12 +105,8 @@ def _grad_check_instance() -> tuple[ParameterSet, Callable[[], ag.Loss]]:
     class_ids = np.array(world.base_ids)
 
     def loss_fn():
-        lead = params["queries"].value.shape[:-2]
-        logits = class_logits(
-            params, tcfg, world, np.broadcast_to(class_ids, lead + class_ids.shape),
-            np.broadcast_to(images, lead + images.shape), 1.0,
-        )
-        return ag.cross_entropy(logits, np.broadcast_to(labels, lead + labels.shape))
+        logits = class_logits(params, tcfg, world, class_ids, images, 1.0)
+        return ag.cross_entropy(logits, np.broadcast_to(labels, logits.shape[:-1]))
 
     return params, loss_fn
 

@@ -113,12 +113,17 @@ def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: np.ndarray) 
 
     A leading axis of emb stacks clients, and every parameter then holds
     one value per client along the same axis, [..., *shape]; a 2-D emb
-    takes the plain parameters.  emb is data and gets no gradient: one
-    graph node whose parents are the seven parameters, in schema order,
-    and whose backward rule returns their seven gradients.  Every product
-    and sum runs within one client and one class, so a stack computes
-    each client's slice with the same float operations, in the same
-    order, as that client alone.
+    takes the plain parameters.  The leads of emb and the parameters may
+    also differ where they broadcast, as in grad_check, where one tensor
+    is stacked and every other sits at lead 1; the result then has the
+    broadcast lead, and backward() refuses the gradient of a parameter
+    at a smaller one.
+    Leads that do not broadcast raise DimensionError.  emb is data and
+    gets no gradient: one graph node whose parents are the seven
+    parameters, in schema order, and whose backward rule returns their
+    seven gradients.  Every product and sum runs within one client and
+    one class, so a stack computes each client's slice with the same
+    float operations, in the same order, as that client alone.
     """
     if emb.ndim < 2 or emb.shape[-2] < 1 or emb.shape[-1] != cfg.d_model:
         raise DimensionError(f"emb must be (..., k, {cfg.d_model}) with k >= 1, got {emb.shape}")
@@ -127,9 +132,14 @@ def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: np.ndarray) 
     schema = translator_schema(cfg)
     tensors = tuple(params[name] for name, _ in schema)
     if any(p.value.shape != lead + shape for p, (_, shape) in zip(tensors, schema)):
-        raise DimensionError(
-            f"translator parameters {params.schema()} do not match {cfg} over {lead}"
-        )
+        # leads that differ must still broadcast, as grad_check's stacks do
+        shapes = [(p.value.shape, shape) for p, (_, shape) in zip(tensors, schema)]
+        if any(got[-len(shape):] != shape for got, shape in shapes) or not ag.leads_broadcast(
+            lead, *(got[: -len(shape)] for got, shape in shapes)
+        ):
+            raise DimensionError(
+                f"translator parameters {params.schema()} do not match {cfg} over {lead}"
+            )
     q, w_v, w_o, gain, bias, ffn_in, ffn_out = (p.value for p in tensors)
 
     def tr(x):
@@ -137,7 +147,8 @@ def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: np.ndarray) 
 
     # the update row of each class, broadcast over that class's n_ctx queries
     vrow = emb @ w_v
-    u = (q[..., None, :, :] + (vrow @ w_o)[..., :, None, :]).reshape(*lead, k * n, d)
+    u = q[..., None, :, :] + (vrow @ w_o)[..., :, None, :]
+    u = u.reshape(*u.shape[:-3], k * n, d)
     # pre-norm: population variance, epsilon inside the square root
     uc = u - u.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((uc * uc).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
@@ -163,7 +174,7 @@ def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: np.ndarray) 
         s1 = gy.sum(axis=-1, keepdims=True)
         s2 = (gy * y).sum(axis=-1, keepdims=True)
         # the residual stream takes g directly and through the norm
-        g_u = (g + (inv / d) * (d * gy - s1 - y * s2)).reshape(*lead, k, n, d)
+        g_u = (g + (inv / d) * (d * gy - s1 - y * s2)).reshape(*g.shape[:-2], k, n, d)
         g_row = g_u.sum(axis=-2)
         g_vrow = g_row @ tr(w_o)
         return (

@@ -175,6 +175,10 @@ def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> 
     class_emb holds k class-name embedding rows; ctx stacks each class's
     n_ctx context vectors, class by class, as [..., k * n_ctx, d].  A
     leading axis stacks clients, each with its own classes and contexts.
+    The two leads may also differ where they broadcast, and the result
+    has the broadcast lead; backward() then refuses ctx's gradient
+    unless that is ctx's own lead.  Leads that do not broadcast raise
+    DimensionError.
     Averages each class's context rows, pushes the result through the
     frozen head, adds it to the class-name embedding, and renormalizes
     each row (rows with norm below 1e-8 are divided by that epsilon
@@ -193,10 +197,14 @@ def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> 
     if c.shape[-1] != d:
         raise DimensionError(f"context width {c.shape} does not match embedding ({d})")
     rows = c.shape[-2]
-    if c.shape[:-2] != lead or k < 1 or rows < k or rows % k:
+    if c.shape[:-2] != lead and not ag.leads_broadcast(c.shape[:-2], lead):
+        raise DimensionError(
+            f"context {c.shape} does not broadcast against embeddings {class_emb.shape}"
+        )
+    if k < 1 or rows < k or rows % k:
         raise DimensionError(f"context {c.shape} does not split into {k} classes")
     n_ctx = rows // k
-    z = c.reshape(*lead, k, n_ctx, d).mean(axis=-2) @ head.W1
+    z = c.reshape(*c.shape[:-2], k, n_ctx, d).mean(axis=-2) @ head.W1
     s = ag.quick_gelu_gate(z)
     zs = z * s
     x = class_emb + zs @ head.W2

@@ -369,6 +369,18 @@ class TestGradCheckStack:
         for name, p in params.items():
             assert p.value is before[name], name
 
+    def test_tensor_the_loss_ignores_gives_zero_differences(self):
+        # perturbing y leaves x at lead 1, so the loss reads one set only
+        rng = np.random.default_rng(15)
+        x = Parameter("x", rng.standard_normal((2, 3)))
+        y = Parameter("y", rng.standard_normal(3))
+        params = ParameterSet([x, y])
+
+        def loss():
+            return cross_entropy(x, np.broadcast_to([0, 2], x.value.shape[:-1]))
+
+        assert grad_check(loss, params) == loop_grad_check(loss, params) == 1.3245633591577058e-10
+
     def test_loss_ignoring_stack_raises(self):
         x = Parameter("x", np.ones((1, 2)))
         before = x.value

@@ -3,6 +3,7 @@ worst error as the per-coordinate loop, a fixed number of loss
 evaluations, and a failure on a wrong backward rule."""
 
 import numpy as np
+import pytest
 
 from fedprompt import diagnostics, federation
 from fedprompt.autograd import grad_check
@@ -13,6 +14,7 @@ from fedprompt.diagnostics import (
     _grad_check_instance,
     composite_grad_check,
 )
+from fedprompt.errors import ContractError
 import reference_graph as ref
 
 
@@ -43,6 +45,39 @@ def test_composite_check_makes_24_loss_evaluations(monkeypatch):
     err, n_scalars, _ = composite_grad_check()
     assert (evals, n_scalars) == (24, 1376)
     assert err < GRADCHECK_TOLERANCE
+
+
+def test_each_stacked_evaluation_stacks_one_tensor(monkeypatch):
+    # the perturbed tensor at lead n, every other at lead 1, so the loss
+    # computes what lies upstream of the perturbed tensor once
+    leads = []
+    check = diagnostics.grad_check
+
+    def recording(loss_fn, params, h):
+        schema = dict(params.schema())
+
+        def recorded():
+            leads.append(sorted(p.value.shape[:-len(schema[p.name])] for p in params))
+            return loss_fn()
+
+        return check(recorded, params, h=h)
+
+    monkeypatch.setattr(diagnostics, "grad_check", recording)
+    composite_grad_check()
+    assert leads[0] == [()] * 7
+    assert len(leads) == 24
+    for stacked in leads[1:]:
+        assert stacked[:6] == [(1,)] * 6 and stacked[6] in [(32,), (128,)]
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-5, float("nan"), float("inf")])
+def test_step_must_be_finite_and_positive(h):
+    params, loss_fn = _grad_check_instance()
+    before = {name: p.value for name, p in params.items()}
+    with pytest.raises(ContractError, match="step h"):
+        grad_check(loss_fn, params, h=h)
+    for name, p in params.items():
+        assert p.value is before[name], name
 
 
 def _composite_error(h):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedprompt import autograd as ag
-from fedprompt.autograd import Parameter
+from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.errors import ConfigError, DimensionError
 from fedprompt.seeding import rng_for
 from fedprompt.translator import (
@@ -151,6 +151,56 @@ class TestForward:
         ctx_a = translate_one(params, CFG16, a).value
         ctx_b = translate_one(params, CFG16, b).value
         assert not np.array_equal(ctx_a, ctx_b)
+
+
+def lead_stacks(params, stacked, n, seed):
+    """params with the named tensor stacked [n, *shape], perturbed per
+    set, and every other one at lead 1, as grad_check holds them."""
+    rng = np.random.default_rng(seed)
+    return ParameterSet([
+        p.twin(p.value + 0.01 * rng.standard_normal((n, *p.shape)) if name == stacked
+               else p.value[None])
+        for name, p in params.items()
+    ])
+
+
+class TestMixedLeads:
+    """Leads that broadcast against one another, as in grad_check: the
+    result is bitwise the one from every operand broadcast to the
+    stack."""
+
+    @pytest.mark.parametrize("stacked", [name for name, _ in translator_schema(CFG16)] + ["emb"])
+    @pytest.mark.parametrize("emb_lead", [(), (1,)])
+    def test_equals_full_broadcast_bitwise(self, stacked, emb_lead):
+        params = randomized_params(CFG16, 61)
+        emb = np.random.default_rng(10).standard_normal((*emb_lead, 3, 16))
+        if stacked == "emb":
+            emb = emb + 0.01 * np.random.default_rng(11).standard_normal((4, 3, 16))
+        mixed = lead_stacks(params, stacked, 4, 12)
+        full = ParameterSet([p.twin(np.broadcast_to(p.value, (4, *p.shape[1:]))) for p in mixed])
+        got = translate_one(mixed, CFG16, emb).value
+        want = translate_one(full, CFG16, np.broadcast_to(emb, (4, 3, 16))).value
+        assert got.shape == (4, 12, 16)
+        assert got.tobytes() == want.tobytes()
+
+    def test_leads_that_do_not_broadcast_rejected(self):
+        params = randomized_params(CFG16, 62)
+        emb = np.ones((3, 2, 16))
+        with pytest.raises(DimensionError):
+            translate_one(params.stacked(2), CFG16, emb)
+        mixed = ParameterSet([
+            p.twin(np.broadcast_to(p.value, ((3 if name == "W_o" else 2), *p.shape)))
+            for name, p in params.items()
+        ])
+        with pytest.raises(DimensionError):
+            translate_one(mixed, CFG16, emb[0])
+
+    def test_backward_refuses_gradients_at_another_lead(self):
+        params = lead_stacks(randomized_params(CFG16, 63), "W_o", 4, 13)
+        out = translate_one(params, CFG16, np.random.default_rng(14).standard_normal((3, 16)))
+        probe = np.random.default_rng(15).standard_normal(out.shape)
+        with pytest.raises(DimensionError, match="does not match parent"):
+            ag.backward(ref.probe_sum(out, probe))
 
 
 class TestGradients:

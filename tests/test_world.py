@@ -228,6 +228,35 @@ class TestTextFeature:
             with pytest.raises(NumericError, match="norm"):
                 text_feature(world.head, emb, ag.constant(ctx))
 
+    @pytest.mark.parametrize("emb_lead, ctx_lead", [((1,), (4,)), ((4,), (1,)), ((), (4,))])
+    def test_mixed_leads_equal_full_broadcast_bitwise(self, world, emb_lead, ctx_lead):
+        rng = np.random.default_rng(9)
+        emb = np.broadcast_to(emb_rows(world, [3, 11]), (*emb_lead, 2, CFG.d))
+        if emb_lead == (4,):
+            emb = emb + 0.01 * rng.standard_normal(emb.shape)
+        ctx = rng.standard_normal((*ctx_lead, 2 * 4, CFG.d))
+        got = text_feature(world.head, emb, ag.constant(ctx)).value
+        want = text_feature(
+            world.head,
+            np.broadcast_to(emb, (4, 2, CFG.d)),
+            ag.constant(np.broadcast_to(ctx, (4, 2 * 4, CFG.d))),
+        ).value
+        assert got.shape == (4, 2, CFG.d)
+        assert got.tobytes() == want.tobytes()
+
+    def test_leads_that_do_not_broadcast_rejected(self, world):
+        emb = np.broadcast_to(emb_rows(world, [3, 11]), (2, 2, CFG.d))
+        with pytest.raises(DimensionError, match="broadcast"):
+            text_feature(world.head, emb, ag.constant(np.zeros((3, 2 * 4, CFG.d))))
+
+    def test_backward_refuses_context_gradient_at_another_lead(self, world):
+        emb = np.broadcast_to(emb_rows(world, [3, 11]), (3, 2, CFG.d))
+        ctx = ag.constant(np.random.default_rng(10).standard_normal((1, 2 * 4, CFG.d)))
+        feats = text_feature(world.head, emb, ctx)
+        probe = np.random.default_rng(11).standard_normal(feats.shape)
+        with pytest.raises(DimensionError, match="does not match parent"):
+            ag.backward(ref.probe_sum(feats, probe))
+
     def test_gradient_reaches_context(self, world):
         ctx = Parameter("ctx", np.random.default_rng(5).standard_normal((8, CFG.d)) * 0.1)
         params = ParameterSet([ctx])
