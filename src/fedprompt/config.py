@@ -92,7 +92,7 @@ _DOCS = {
     "optimizer.momentum": "SGD momentum coefficient",
     "optimizer.weight_decay": "L2 penalty added to the gradient",
     "optimizer.batch_size": "local minibatch size",
-    "optimizer.temperature": "cosine logit divisor",
+    "optimizer.temperature": "divisor of the training loss's cosine logits; accuracy ignores it",
     "federation.n_clients": "number of simulated clients",
     "federation.classes_per_client": "disjoint classes held by each client",
     "federation.shots": "training samples per class per client",

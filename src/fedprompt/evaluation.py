@@ -2,8 +2,8 @@
 
 Evaluation classifies fresh test samples against the text features of
 every class in one split: base classes measure what training saw, new
-classes measure generalization to held-out classes.  Each class's test
-draws come from its own stream derived with an "eval" label, so they
+classes measure generalization to held-out classes.  Each split draws
+its test samples from one stream derived with an "eval" label, so they
 never collide with training data, and the zero-context baseline (all
 context vectors zero) is available as the untrained reference point.
 A split is sampled and scored a block of classes at a time, so the
@@ -18,7 +18,7 @@ import numpy as np
 from fedprompt.autograd import ParameterSet
 from fedprompt.errors import ConfigError, ContractError
 from fedprompt.federation import class_text_features
-from fedprompt.seeding import rngs_for
+from fedprompt.seeding import rng_for
 from fedprompt.translator import TranslatorConfig
 from fedprompt.world import SyntheticWorld, sample_image
 
@@ -79,14 +79,14 @@ def evaluate(
     """Accuracy percent over the chosen split.
 
     The label space is exactly the split's classes.  Text features for
-    the whole split come from one graph.  Each class draws its n_test
-    samples from its own stream, and each sample is assigned to the
-    feature with the highest cosine/temperature score.  The streams of
-    the whole split are built in one pass.  The split is
-    scored in blocks of consecutive classes whose samples fit in
-    BLOCK_BYTES; a block's [b, n_test, k] logits come from one stacked
-    matmul, which multiplies each class's samples as its own product, so
-    every score is the one a class scored alone would get.
+    the whole split come from one graph.  The split's samples come from
+    one stream, n_test per class, class by class in split order, and
+    each sample is assigned to the feature with the highest
+    cosine/temperature score.  The split is scored in blocks of
+    consecutive classes whose samples fit in BLOCK_BYTES; a block's
+    [b, n_test, k] logits come from one stacked matmul, which multiplies
+    each class's samples as its own product, so every score is the one
+    a class scored alone would get.
     """
     if n_test < 1:
         raise ConfigError(f"n_test must be positive, got {n_test}")
@@ -94,13 +94,12 @@ def evaluate(
         raise ConfigError(f"temperature must be positive, got {temperature}")
     class_ids = split_class_ids(world, split)
     feats = class_features(params, world, trans_cfg, class_ids)
-    rngs = rngs_for(seed, "eval", split, ids=class_ids)
+    rng = rng_for(seed, "eval", split)
     per_block = max(1, BLOCK_BYTES // (n_test * world.cfg.d * 8))
     correct = 0
     for start in range(0, len(class_ids), per_block):
-        stop = start + per_block
-        block = class_ids[start:stop]
-        logits = sample_image(world, block, rngs[start:stop], n_test) @ feats.T
+        block = class_ids[start : start + per_block]
+        logits = sample_image(world, block, [rng] * len(block), n_test) @ feats.T
         logits /= temperature
         labels = np.arange(start, start + len(block))[:, None]
         correct += np.count_nonzero(logits.argmax(axis=-1) == labels)

@@ -5,9 +5,11 @@ each class is a random unit direction, images are noisy draws around it,
 and the class-name embedding is a separately perturbed copy of the same
 direction.  Novel classes live between random pairs of base classes so
 they are related to, but distinct from, anything seen in training.
-Images are sampled for a whole class set at once, each class from its
-own random stream, so a class's images never depend on which classes
-are drawn beside it.
+Images are sampled for a whole class set at once, class by class in
+order, each class from the stream given for it.  Training data gives
+each class its own stream, so a class's images never depend on which
+classes are drawn beside it; evaluation gives every class of a split
+the split's one stream, so the classes take consecutive draws from it.
 
 A small frozen two-layer head, with QuickGELU between its layers, turns
 prompt context vectors into an additive correction on the class-name
@@ -151,9 +153,12 @@ def sample_image(
 ) -> np.ndarray:
     """n unit-norm image embeddings per class, [k, n, d] for k class ids.
 
-    Class i's rows come from rngs[i] alone, as one [n, d] draw, which takes
-    the same values, row by row, as n draws of d; every float operation on
-    a row is the same as for a class sampled on its own.  Zero image noise
+    Classes are drawn one after another in the order given: class i's
+    rows are one [n, d] draw from rngs[i], which takes the same values,
+    row by row, as n draws of d.  One stream passed for every class so
+    gives consecutive draws, class by class, and distinct streams give
+    each class the draw it would get alone.  Every float operation on a
+    row is the same as for a class sampled on its own.  Zero image noise
     takes no draw and repeats each center bitwise.
     """
     centers = world.class_centers(class_ids)

@@ -30,8 +30,9 @@ hold the stacked check to it.
 The package samples a whole class set's images in one call and scores
 an evaluation split in blocks of classes.  sample_image and evaluate
 here are the one-class-at-a-time forms they replaced: one [n, d] draw
-per class from its own stream, and one logits product, argmax and
-count per class.  Nothing here is used outside tests/.
+per class, taken next from the split's one stream, and one logits
+product, argmax and count per class.  Nothing here is used outside
+tests/.
 """
 
 import numpy as np
@@ -298,12 +299,14 @@ def sample_image(world, class_id: int, rng: np.random.Generator, n: int) -> np.n
 
 
 def evaluate(params, world, trans_cfg, split, n_test, temperature, seed) -> float:
-    """evaluation.evaluate scoring one class at a time."""
+    """evaluation.evaluate scoring one class at a time, each drawn next
+    from the split's one stream."""
     class_ids = split_class_ids(world, split)
     feats = class_features(params, world, trans_cfg, class_ids)
+    rng = rng_for(seed, "eval", split)
     correct = 0
     for local, class_id in enumerate(class_ids):
-        images = sample_image(world, class_id, rng_for(seed, "eval", split, class_id), n_test)
+        images = sample_image(world, class_id, rng, n_test)
         logits = images @ feats.T / temperature
         correct += int((logits.argmax(axis=1) == local).sum())
     return 100.0 * correct / (n_test * len(class_ids))

@@ -191,6 +191,7 @@ class TestBlocks:
             feats = class_features(params, w, tcfg, ids)
             scores = np.concatenate(products)
             assert scores.shape == (len(ids), n_test, len(ids))
+            rng = rng_for(3, "eval", "base")
             for i, class_id in enumerate(ids):
-                one = ref.sample_image(w, class_id, rng_for(3, "eval", "base", class_id), n_test)
+                one = ref.sample_image(w, class_id, rng, n_test)
                 assert scores[i].tobytes() == (one @ feats.T / 0.07).tobytes()

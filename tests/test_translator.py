@@ -220,8 +220,13 @@ class TestGradients:
 
     def test_every_gradient_matches_reference_at_three_classes(self):
         # the block is one node whose parents are the seven parameters; the
-        # embedding is data and gets no gradient
+        # embedding is data and gets no gradient.  The layer norm's gain and
+        # bias leave their init of one and zero, where a gain factor missing
+        # from (or inverted in) the rule would not show
         params = randomized_params(CFG16, 52)
+        norm_rng = np.random.default_rng(10)
+        params["ln2_gain"].set_value(1.0 + 0.5 * norm_rng.standard_normal(16))
+        params["ln2_bias"].set_value(0.5 * norm_rng.standard_normal(16))
         rng = np.random.default_rng(9)
         emb = Parameter("emb", rng.standard_normal((3, 16)))
         probe = rng.standard_normal((12, 16))

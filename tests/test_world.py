@@ -38,6 +38,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             WorldConfig(sigma_img=-0.5)
 
+    def test_one_dimension_builds(self):
+        with pytest.raises(ConfigError):
+            WorldConfig(d=0)
+        w = build_world(WorldConfig(d=1, n_base=3, n_new=2, seed=1))
+        assert w.centers.shape == (5, 1)
+        assert np.array_equal(np.abs(w.centers[w.base_ids]), np.ones((3, 1)))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.4), (0.0, 0.0), (1.0, 1.0)])
+    def test_interp_bounds_inclusive(self, lo, hi):
+        w = build_world(WorldConfig(d=8, n_base=4, n_new=3, interp_lo=lo, interp_hi=hi, seed=2))
+        assert np.allclose(np.linalg.norm(w.centers, axis=1), 1.0, rtol=0, atol=1e-12)
+
 
 class TestGeometry:
     def test_deterministic(self, world):
@@ -64,6 +76,27 @@ class TestGeometry:
         # its best base cosine is far above the random-direction level
         cos = world.centers[world.new_ids] @ world.centers[world.base_ids].T
         assert cos.max(axis=1).min() > 0.3
+
+    @pytest.mark.parametrize("lo, hi", [(0.3, 0.7), (0.5, 0.5)])
+    def test_new_center_is_positive_mix_of_two_base_centers(self, lo, hi):
+        # unit(alpha * a + beta * b) for distinct base centers a, b, with
+        # alpha, beta > 0 and alpha / (alpha + beta) inside [lo, hi]
+        cfg = WorldConfig(d=16, n_base=10, n_new=6, interp_lo=lo, interp_hi=hi, seed=3)
+        w = build_world(cfg)
+        base = w.centers[w.base_ids]
+        for c in w.centers[w.new_ids]:
+            mixes = []
+            for a in range(cfg.n_base):
+                for b in range(a + 1, cfg.n_base):
+                    pair = base[[a, b]].T
+                    coef = np.linalg.lstsq(pair, c, rcond=None)[0]
+                    if np.max(np.abs(pair @ coef - c)) < 1e-12:
+                        mixes.append(coef)
+            assert len(mixes) == 1
+            alpha, beta = mixes[0]
+            assert alpha > 0 and beta > 0
+            ratios = (alpha / (alpha + beta), beta / (alpha + beta))
+            assert any(lo - 1e-12 <= r <= hi + 1e-12 for r in ratios)
 
     def test_new_centers_distinct_from_base(self, world):
         cos = world.centers[world.new_ids] @ world.centers[world.base_ids].T
@@ -200,6 +233,16 @@ class TestTextFeature:
         with pytest.raises(DimensionError):
             text_feature(world.head, emb_rows(world, [0]), ag.constant(np.zeros((4, 16))))
 
+    def test_one_context_row_per_class(self, world):
+        # n_ctx = 1: each class pools its single row, which is the mean
+        emb = emb_rows(world, [3, 11])
+        ctx = np.random.default_rng(12).standard_normal((2, CFG.d))
+        feat = text_feature(world.head, emb, ag.constant(ctx)).value
+        z = ctx @ world.head.W1
+        x = emb + (z * ag.quick_gelu_gate(z)) @ world.head.W2
+        want = x / np.linalg.norm(x, axis=1, keepdims=True)
+        assert np.max(np.abs(feat - want)) < 1e-12
+
     def test_ctx_rows_must_split_into_classes(self, world):
         emb = emb_rows(world, [0, 1, 2])
         for rows in (4, 2, 0):
@@ -269,3 +312,19 @@ class TestTextFeature:
 
         assert ref.grad_check(loss, params) < 1e-6
 
+    def test_gradient_through_zero_norm_row(self, world):
+        # a zero class embedding with zero context gives a zero row, which
+        # is divided by L2_NORM_EPS; a step of 1e-13 keeps the perturbed
+        # rows below it, so the differences take that branch too
+        ctx = Parameter("ctx", np.zeros((4, CFG.d)))
+        params = ParameterSet([ctx])
+        emb = np.zeros((1, CFG.d))
+        probe = np.random.default_rng(13).standard_normal((1, CFG.d))
+
+        def loss():
+            feats = text_feature(world.head, emb, ctx)
+            # a row at or above the epsilon would come out unit-norm
+            assert np.linalg.norm(feats.value) < 0.5
+            return ref.probe_sum(feats, probe)
+
+        assert ref.grad_check(loss, params, h=1e-13) < 1e-6
