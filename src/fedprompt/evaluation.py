@@ -6,9 +6,13 @@ classes measure generalization to held-out classes.  Each split draws
 its test samples from one stream derived with an "eval" label, so they
 never collide with training data, and the zero-context baseline (all
 context vectors zero) is available as the untrained reference point.
-A split is sampled and scored a block of classes at a time, so the
-samples in flight stay within a fixed byte budget however large the
-split is.
+A split is sampled and scored a block of classes at a time, one draw
+per block, so the samples in flight stay within a fixed byte budget
+however large the split is.  Only the class that scores highest
+counts, so a block is scored with the raw dot products of its raw
+samples against the unit text features: the cosine/temperature score
+of the model is each sample's raw products times one positive factor,
+which orders the classes the same way.
 """
 
 from dataclasses import dataclass
@@ -20,14 +24,15 @@ from fedprompt.errors import ConfigError, ContractError
 from fedprompt.federation import class_text_features
 from fedprompt.seeding import rng_for
 from fedprompt.translator import TranslatorConfig
-from fedprompt.world import SyntheticWorld, sample_image
+from fedprompt.world import SyntheticWorld, sample_raw
 
 SPLITS = ("base", "new")
 
-# Bytes of test samples scored per block.  Timed in-process (BENCH_20.json),
-# blocks this size took 11-18% less time than one class at a time at d=32
-# and 4-9% less at d=128, where scoring the 6 MB base split of a 120-class
-# world as one block saved at most 7%.
+# Bytes of test samples drawn and scored per block.  Timed in-process as
+# two evaluate_both_splits calls, the medians of two sets of interleaved
+# rounds on a 2-vCPU Intel Xeon host, 2**17, 2**18 and 2**19 bytes took
+# 6.6/6.2/7.8 and 8.1/8.1/9.3 ms at d=32, and at d=128 48/50/51 and
+# 67/65/64 ms, within the rounds' spread of 3-8 ms.
 BLOCK_BYTES = 2**18
 
 
@@ -81,28 +86,35 @@ def evaluate(
     The label space is exactly the split's classes.  Text features for
     the whole split come from one graph.  The split's samples come from
     one stream, n_test per class, class by class in split order, and
-    each sample is assigned to the feature with the highest
-    cosine/temperature score.  The split is scored in blocks of
-    consecutive classes whose samples fit in BLOCK_BYTES; a block's
-    [b, n_test, k] logits come from one stacked matmul, which multiplies
-    each class's samples as its own product, so every score is the one
-    a class scored alone would get.
+    each sample is assigned to the class with the highest
+    cosine/temperature score.  That score is the raw sample's dot product
+    with a unit feature times 1 / (|sample| * temperature), one positive
+    factor per sample, so evaluate argmaxes the raw dot products, which
+    pick the same class (rounding could part the two only where two of a
+    sample's scores agree to the last bits).  temperature cannot change
+    an accuracy; it stays a parameter, checked positive, because callers
+    pass it by position.
+
+    The split is scored in blocks of consecutive classes whose samples
+    fit in BLOCK_BYTES, each drawn with one call on the split's stream.
+    A block's [b, n_test, k] dot products come from one stacked matmul,
+    which multiplies each class's samples as its own product, so every
+    score is the one a class scored alone would get.
     """
     if n_test < 1:
         raise ConfigError(f"n_test must be positive, got {n_test}")
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
     class_ids = split_class_ids(world, split)
-    feats = class_features(params, world, trans_cfg, class_ids)
+    feats_t = class_features(params, world, trans_cfg, class_ids).T
     rng = rng_for(seed, "eval", split)
     per_block = max(1, BLOCK_BYTES // (n_test * world.cfg.d * 8))
     correct = 0
     for start in range(0, len(class_ids), per_block):
         block = class_ids[start : start + per_block]
-        logits = sample_image(world, block, [rng] * len(block), n_test) @ feats.T
-        logits /= temperature
+        scores = sample_raw(world, block, rng, n_test) @ feats_t
         labels = np.arange(start, start + len(block))[:, None]
-        correct += np.count_nonzero(logits.argmax(axis=-1) == labels)
+        correct += np.count_nonzero(scores.argmax(axis=-1) == labels)
     return 100.0 * correct / (n_test * len(class_ids))
 
 

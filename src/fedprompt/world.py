@@ -5,11 +5,13 @@ each class is a random unit direction, images are noisy draws around it,
 and the class-name embedding is a separately perturbed copy of the same
 direction.  Novel classes live between random pairs of base classes so
 they are related to, but distinct from, anything seen in training.
-Images are sampled for a whole class set at once, class by class in
-order, each class from the stream given for it.  Training data gives
-each class its own stream, so a class's images never depend on which
-classes are drawn beside it; evaluation gives every class of a split
-the split's one stream, so the classes take consecutive draws from it.
+Training images are sampled for a whole class set at once, class by
+class in order, each class from its own stream, so a class's images
+never depend on which classes are drawn beside it.  Evaluation draws a
+block of classes as one draw from its split's one stream, so the
+classes take consecutive draws from it, and keeps the samples raw:
+normalizing a sample scales all of its scores by one positive factor,
+which cannot change which class scores highest.
 
 A small frozen two-layer head, with QuickGELU between its layers, turns
 prompt context vectors into an additive correction on the class-name
@@ -148,6 +150,14 @@ def build_world(cfg: WorldConfig) -> SyntheticWorld:
     return SyntheticWorld(cfg, centers, emb, head)
 
 
+def _around_centers(world: SyntheticWorld, centers: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """[k, n, d] raw samples centers + sigma_img * noise, computed in
+    noise's buffer."""
+    noise *= world.cfg.sigma_img
+    noise += centers[:, None, :]
+    return noise
+
+
 def sample_image(
     world: SyntheticWorld, class_ids, rngs, n: int
 ) -> np.ndarray:
@@ -155,11 +165,10 @@ def sample_image(
 
     Classes are drawn one after another in the order given: class i's
     rows are one [n, d] draw from rngs[i], which takes the same values,
-    row by row, as n draws of d.  One stream passed for every class so
-    gives consecutive draws, class by class, and distinct streams give
-    each class the draw it would get alone.  Every float operation on a
-    row is the same as for a class sampled on its own.  Zero image noise
-    takes no draw and repeats each center bitwise.
+    row by row, as n draws of d.  Distinct streams give each class the
+    draw it would get alone, and every float operation on a row is the
+    same as for a class sampled on its own.  Zero image noise takes no
+    draw and repeats each center bitwise.
     """
     centers = world.class_centers(class_ids)
     if len(rngs) != len(centers):
@@ -169,9 +178,23 @@ def sample_image(
     x = np.empty((len(centers), n, world.cfg.d))
     for rows, rng in zip(x, rngs):
         rng.standard_normal(rows.shape, out=rows)
-    x *= world.cfg.sigma_img
-    x += centers[:, None, :]
-    return _unit_rows(x)
+    return _unit_rows(_around_centers(world, centers, x))
+
+
+def sample_raw(world: SyntheticWorld, class_ids, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n raw image samples per class, centers + sigma_img * noise, not
+    normalized: [k, n, d] for k class ids.
+
+    The noise is one [k, n, d] draw from rng, which takes the same values
+    as k consecutive [n, d] draws, so class i's rows are the draw it
+    would get next from rng after the classes before it.  Each row is
+    sample_image's row before its unit scaling.  Zero image noise takes
+    no draw and repeats each center bitwise.
+    """
+    centers = world.class_centers(class_ids)
+    if world.cfg.sigma_img == 0.0:
+        return np.repeat(centers[:, None, :], n, axis=1)
+    return _around_centers(world, centers, rng.standard_normal((len(centers), n, world.cfg.d)))
 
 
 def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> DiffNode:

@@ -27,12 +27,14 @@ replaced, one loss per perturbed value, so it also checks losses that
 only take 2-D operands, like the small ops above, and the tests can
 hold the stacked check to it.
 
-The package samples a whole class set's images in one call and scores
-an evaluation split in blocks of classes.  sample_image and evaluate
-here are the one-class-at-a-time forms they replaced: one [n, d] draw
-per class, taken next from the split's one stream, and one logits
-product, argmax and count per class.  Nothing here is used outside
-tests/.
+The package samples a whole class set's images in one call, and
+scores an evaluation split in blocks of classes, each block one draw
+of raw samples whose raw dot products it argmaxes.  raw_sample and
+sample_image here draw one class at a time, raw and unit-normalized.
+evaluate here is the definition the blocks replaced: one class at a
+time, each drawn next from the split's one stream, its unit samples
+scored by cosine/temperature, then argmax and count.  Nothing here is
+used outside tests/.
 """
 
 import numpy as np
@@ -289,18 +291,27 @@ def grad_check(loss_fn, params: ParameterSet, h: float = 1e-5) -> float:
     return worst
 
 
-def sample_image(world, class_id: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    """world.sample_image for one class: [n, d] unit rows from one draw."""
+def raw_sample(world, class_id: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """world.sample_raw for one class: [n, d] rows center + sigma_img *
+    noise from one draw, not normalized."""
     center = world.center(class_id)
     if world.cfg.sigma_img == 0.0:
         return np.tile(center, (n, 1))
-    x = center + world.cfg.sigma_img * rng.standard_normal((n, world.cfg.d))
+    return center + world.cfg.sigma_img * rng.standard_normal((n, world.cfg.d))
+
+
+def sample_image(world, class_id: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """world.sample_image for one class: [n, d] unit rows from one draw."""
+    x = raw_sample(world, class_id, rng, n)
+    if world.cfg.sigma_img == 0.0:
+        return x
     return x / np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), L2_NORM_EPS)
 
 
 def evaluate(params, world, trans_cfg, split, n_test, temperature, seed) -> float:
-    """evaluation.evaluate scoring one class at a time, each drawn next
-    from the split's one stream."""
+    """evaluation.evaluate by its definition, one class at a time: each
+    class's unit samples, drawn next from the split's one stream, scored
+    by cosine/temperature against the unit text features."""
     class_ids = split_class_ids(world, split)
     feats = class_features(params, world, trans_cfg, class_ids)
     rng = rng_for(seed, "eval", split)

@@ -383,13 +383,14 @@ class TestEval:
 
     @pytest.mark.skipif(not _openblas_dynamic_arch(),
                         reason="numpy's BLAS cannot switch kernels")
-    def test_default_run_eval_is_pinned_under_haswell_kernel(self, tmp_path):
-        # the Haswell kernel rounds products differently, so the checkpoint
-        # and log bytes may differ from the host's; the accuracy counts,
-        # and so eval.json, may not
+    @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+    def test_default_run_eval_is_pinned_under_forced_kernel(self, tmp_path, kernel):
+        # these kernels round products differently, so the checkpoint and
+        # log bytes may differ from the host's; the accuracy counts, and
+        # so eval.json, may not
         for args in (["train", "--checkpoint", "model.ftpg", "--log", "log.jsonl"],
                      ["eval", "--checkpoint", "model.ftpg", "--out", "eval.json"]):
-            done = _fedprompt(tmp_path, *args, OPENBLAS_CORETYPE="Haswell")
+            done = _fedprompt(tmp_path, *args, OPENBLAS_CORETYPE=kernel)
             assert done.returncode == 0, done.stderr
         digest = hashlib.sha256((tmp_path / "eval.json").read_bytes()).hexdigest()
         assert digest == DEFAULT_EVAL_SHA256

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedprompt import evaluation
 from fedprompt.errors import ConfigError, ContractError
@@ -172,7 +173,8 @@ class TestBlocks:
     def test_block_logits_equal_per_class_logits_bitwise(self, block_case, n_test,
                                                          monkeypatch):
         # the samples evaluate draws keep every product taken with them, so
-        # the scores it argmaxes can be held to the per-class products
+        # the scores it argmaxes can be held to the per-class products of
+        # raw samples, drawn class by class from the split's stream
         products = []
 
         class Recorded(np.ndarray):
@@ -181,8 +183,8 @@ class TestBlocks:
                 products.append(out)
                 return out
 
-        sample = evaluation.sample_image
-        monkeypatch.setattr(evaluation, "sample_image", lambda *a: sample(*a).view(Recorded))
+        sample = evaluation.sample_raw
+        monkeypatch.setattr(evaluation, "sample_raw", lambda *a: sample(*a).view(Recorded))
         w, tcfg, param_sets = block_case
         ids = split_class_ids(w, "base")
         for params in param_sets:
@@ -193,5 +195,44 @@ class TestBlocks:
             assert scores.shape == (len(ids), n_test, len(ids))
             rng = rng_for(3, "eval", "base")
             for i, class_id in enumerate(ids):
-                one = ref.sample_image(w, class_id, rng, n_test)
-                assert scores[i].tobytes() == (one @ feats.T / 0.07).tobytes()
+                raw = ref.raw_sample(w, class_id, rng, n_test)
+                assert scores[i].tobytes() == (raw @ feats.T).tobytes()
+
+
+def _one_round(world, tcfg, seed):
+    """Parameters after one federated round of one client that holds
+    every base class of world."""
+    blocks = partition_classes(world.cfg.n_base, 1, world.cfg.n_base, seed=seed)
+    datasets = {c: build_client_dataset(world, b, 2, seed, c) for c, b in enumerate(blocks)}
+    opt = OptimizerConfig(lr0=0.5, temperature=0.5, batch_size=4)
+    trained, _ = run_training(world, datasets, opt, tcfg, init_translator_params(tcfg, seed),
+                              total_rounds=1, epochs_per_round=1, fraction=1.0, seed=seed)
+    return trained
+
+
+class TestDefinition:
+    """evaluate, which argmaxes raw dot products, equals the cosine/temperature
+    definition in reference_graph on small random worlds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        n_base=st.integers(2, 6),
+        n_new=st.integers(1, 4),
+        sigma_img=st.sampled_from([0.0, 0.05, 0.3, 1.0, 3.0]),
+        sigma_text=st.sampled_from([0.0, 0.1, 0.5]),
+        n_test=st.sampled_from([1, 2, 7]),
+        temperature=st.sampled_from([0.07, 0.3, 3.0]),
+        trained=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_evaluate_equals_definition(self, d, n_base, n_new, sigma_img, sigma_text,
+                                        n_test, temperature, trained, seed):
+        w = build_world(WorldConfig(d=d, n_base=n_base, n_new=n_new, sigma_img=sigma_img,
+                                    sigma_text=sigma_text, seed=seed))
+        tcfg = TranslatorConfig(d_model=d, n_ctx=2, ffn_mult=2)
+        params = _one_round(w, tcfg, seed) if trained else None
+        for split in ("base", "new"):
+            got = evaluate(params, w, tcfg, split, n_test, temperature, seed)
+            want = ref.evaluate(params, w, tcfg, split, n_test, temperature, seed)
+            assert got == want, split

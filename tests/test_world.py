@@ -11,6 +11,7 @@ from fedprompt.world import (
     WorldConfig,
     build_world,
     sample_image,
+    sample_raw,
     text_feature,
 )
 import reference_graph as ref
@@ -159,6 +160,8 @@ class TestImages:
             w.center(class_id)
         with pytest.raises(IndexError, match=match):
             sample_image(w, [0, class_id], [np.random.default_rng(0)] * 2, 1)
+        with pytest.raises(IndexError, match=match):
+            sample_raw(w, [0, class_id], np.random.default_rng(0), 1)
 
     def test_one_stream_per_class(self, world):
         with pytest.raises(DimensionError):
@@ -184,6 +187,25 @@ class TestImages:
         for rows, class_id in zip(imgs, ids):
             one = ref.sample_image(w, class_id, np.random.default_rng(10 + class_id), 6)
             assert rows.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 16, 129])
+    def test_one_block_draw_equals_consecutive_class_draws_bitwise(self, d):
+        # one [k, n, d] draw takes the values of k [n, d] draws in turn
+        block = np.random.default_rng(5).standard_normal((3, 7, d))
+        rng = np.random.default_rng(5)
+        per_class = np.stack([rng.standard_normal((7, d)) for _ in range(3)])
+        assert block.tobytes() == per_class.tobytes()
+
+    @pytest.mark.parametrize("sigma_img", [0.25, 0.0])
+    @pytest.mark.parametrize("d", [16, 129])
+    def test_raw_block_equals_consecutive_class_draws_bitwise(self, sigma_img, d):
+        w = build_world(WorldConfig(d=d, n_base=4, n_new=2, sigma_img=sigma_img, seed=9))
+        ids = [5, 0, 3]
+        raw = sample_raw(w, ids, np.random.default_rng(6), 4)
+        assert raw.shape == (3, 4, d)
+        rng = np.random.default_rng(6)
+        for rows, class_id in zip(raw, ids):
+            assert rows.tobytes() == ref.raw_sample(w, class_id, rng, 4).tobytes()
 
     @pytest.mark.parametrize("n_new", [0, 3])
     @pytest.mark.parametrize("sigma_text", [0.05, 1.0])
