@@ -147,11 +147,12 @@ def class_text_features(
     and evaluation alike.  class_ids is one client's k ids, or [C, k]
     ids of C clients whose parameters are stacked [C, *shape].  The whole
     class set runs as one graph: one translator pass gives every class
-    its context, one head pass every feature.  With params None the
-    context is all zeros, which reduces every feature to the raw
-    class-name embedding: the zero-context baseline.  Raises NumericError
-    (from text_feature, whose norms see every overflow on the way) if
-    any feature would not be finite.
+    its pooled context, one [..., k, d] row per class, and one head pass
+    every feature.  With params None that context is all zeros, which
+    reduces every feature to the raw class-name embedding: the
+    zero-context baseline.  Raises NumericError (from text_feature,
+    whose norms see every overflow on the way) if any feature would not
+    be finite.
     """
     ids = np.asarray(class_ids, dtype=np.int64)
     if ids.size and ids.min() < 0:
@@ -160,8 +161,7 @@ def class_text_features(
     # an overflow is reported by text_feature's norm check
     with np.errstate(all="ignore"):
         if params is None:
-            *lead, k, _ = emb.shape
-            ctx = ag.constant(np.zeros((*lead, k * trans_cfg.n_ctx, trans_cfg.d_model)))
+            ctx = ag.constant(np.zeros((*emb.shape[:-1], trans_cfg.d_model)))
         else:
             ctx = translate_one(params, trans_cfg, emb)
         return text_feature(world.head, emb, ctx)

@@ -14,22 +14,30 @@ because with one key none of them can change the output or receive a
 gradient.  Attention over several keys, such as a task's whole set of
 class names, would be a different model.
 
-A whole class set runs as one graph node: k embedding rows give k
-contexts stacked as [k * n_ctx, d_model] rows, class by class.  The node
-works on a [k, n_ctx, d_model] view, adding each class's update row to
-the queries by broadcasting; every later step works row by row, so the
-classes never mix.  A leading client axis, [C, k, n_ctx, d_model] with
-every parameter stacked as [C, *shape], runs C clients' class sets
-through the same node without mixing them either.  The embeddings are
-frozen data, so the node's parents are the seven parameters alone.  Its
-backward rule is written out by hand (layer norm, GEGLU and both
-residual paths) and returns their seven gradients; the tests hold it
-against the same block composed from small autograd ops.
+A whole class set runs as one graph node: k embedding rows give each
+class n_ctx context rows, [k * n_ctx, d_model] class by class, adding
+each class's update row to the queries by broadcasting; the layer norm
+and the feed-forward then work row by row, so the classes never mix.
+The node returns one row per class, [k, d_model]: the mean of that
+class's n_ctx rows, which is all the text head reads.  The mean is
+linear, so it commutes with the residual add and with ffn_out, and the
+node takes it before them: a class's row is mean(queries) + its update
+row + (the mean of its GEGLU rows) @ ffn_out.  In real arithmetic that
+is the mean of the rows the full block would return; ffn_out's product
+and both of its backward products then run on k rows, not k * n_ctx.
+A leading client axis, [C, k, d_model] with every parameter stacked as
+[C, *shape], runs C clients' class sets through the same node without
+mixing them either.  The embeddings are frozen data, so the node's
+parents are the seven parameters alone.  Its backward rule is written
+out by hand (layer norm, GEGLU and both residual paths) and returns
+their seven gradients; the tests hold it against each class's mean of
+the same block's rows, composed from small autograd ops.
 
 Parameter tensors have a fixed schema; see translator_schema().  The
 output projection and the second feed-forward matrix start at zero, which
-closes both residual branches at initialization: the produced context
-equals the raw query bank until training moves the weights.
+closes both residual branches at initialization: each class's pooled
+context equals the mean of the raw query bank until training moves the
+weights.
 """
 
 from dataclasses import dataclass
@@ -107,9 +115,11 @@ def init_translator_params(cfg: TranslatorConfig, seed: int) -> ParameterSet:
 
 
 def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: np.ndarray) -> DiffNode:
-    """Context vectors for k classes; emb is [..., k, d_model], the result
-    is [..., k * n_ctx, d_model] with class i in rows i * n_ctx to
-    (i + 1) * n_ctx.
+    """Pooled context for k classes; emb is [..., k, d_model], the result
+    is [..., k, d_model], row i the mean of class i's n_ctx context
+    vectors.  The mean is taken before ffn_out and the residual add,
+    which is exact in real arithmetic since both are linear; see the
+    module docstring.
 
     A leading axis of emb stacks clients, and every parameter then holds
     one value per client along the same axis, [..., *shape]; a 2-D emb
@@ -145,46 +155,58 @@ def translate_one(params: ParameterSet, cfg: TranslatorConfig, emb: np.ndarray) 
     def tr(x):
         return x.swapaxes(-1, -2)
 
+    def by_class(x):
+        return x.reshape(*x.shape[:-2], k, n, x.shape[-1])
+
+    def by_row(x):
+        return x.reshape(*x.shape[:-3], k * n, x.shape[-1])
+
     # the update row of each class, broadcast over that class's n_ctx queries
     vrow = emb @ w_v
-    u = q[..., None, :, :] + (vrow @ w_o)[..., :, None, :]
-    u = u.reshape(*u.shape[:-3], k * n, d)
+    row = vrow @ w_o
+    u = by_row(q[..., None, :, :] + row[..., :, None, :])
     # pre-norm: population variance, epsilon inside the square root
     uc = u - u.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((uc * uc).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     y = uc * inv
     u_in = y * gain[..., None, :] + bias[..., None, :]
-    # GEGLU under QuickGELU: the first f columns carry the value, the last
-    # f the gate
-    h = u_in @ ffn_in
-    a, b = h[..., :f], h[..., f:]
+    # GEGLU under QuickGELU: the first f columns of ffn_in give the value,
+    # the last f the gate, each as its own contiguous product
+    a = u_in @ ffn_in[..., :f]
+    b = u_in @ ffn_in[..., f:]
     s = ag.quick_gelu_gate(b)
     gate = b * s
-    m = a * gate
-    out = u + m @ ffn_out
+    # each class's mean row, taken before ffn_out
+    m_bar = by_class(a * gate).mean(axis=-2)
+    out = q.mean(axis=-2)[..., None, :] + row + m_bar @ ffn_out
 
     def rule(g):
-        g_m = g @ tr(ffn_out)
-        g_h = np.empty_like(h)
-        np.multiply(g_m, gate, out=g_h[..., :f])
-        g_b = np.multiply(g_m, a, out=g_h[..., f:])
+        # every row of a class takes 1/n of that class's gradient
+        g_m = ((g @ tr(ffn_out)) / n)[..., :, None, :]
+        g_a = by_row(g_m * by_class(gate))
+        g_b = by_row(g_m * by_class(a))
         g_b *= ag.quick_gelu_slope(s, gate)
-        g_in = g_h @ tr(ffn_in)
+        g_in = g_a @ tr(ffn_in[..., :f]) + g_b @ tr(ffn_in[..., f:])
         gy = g_in * gain[..., None, :]
         s1 = gy.sum(axis=-1, keepdims=True)
         s2 = (gy * y).sum(axis=-1, keepdims=True)
         # the residual stream takes g directly and through the norm
-        g_u = (g + (inv / d) * (d * gy - s1 - y * s2)).reshape(*g.shape[:-2], k, n, d)
+        g_u = by_class((inv / d) * (d * gy - s1 - y * s2))
+        g_u += (g / n)[..., :, None, :]
         g_row = g_u.sum(axis=-2)
         g_vrow = g_row @ tr(w_o)
+        # at the lead of u_in and g_a, so backward() refuses a smaller one
+        g_ffn_in = np.empty(np.broadcast_shapes(u_in.shape[:-2], g_a.shape[:-2]) + (d, 2 * f))
+        np.matmul(tr(u_in), g_a, out=g_ffn_in[..., :f])
+        np.matmul(tr(u_in), g_b, out=g_ffn_in[..., f:])
         return (
             g_u.sum(axis=-3),
             tr(emb) @ g_vrow,
             tr(vrow) @ g_row,
             (g_in * y).sum(axis=-2),
             g_in.sum(axis=-2),
-            tr(u_in) @ g_h,
-            tr(m) @ g,
+            g_ffn_in,
+            tr(m_bar) @ g,
         )
 
     return DiffNode(out, tensors, rule, op="translate")

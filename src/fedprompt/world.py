@@ -18,11 +18,11 @@ prompt context vectors into an additive correction on the class-name
 embedding.  QuickGELU(0) = 0, so with zero context the head contributes
 nothing and the text feature degenerates to the raw class embedding;
 that identity anchors several tests.  The head takes a
-whole class set at once: k embedding rows and their contexts stacked as
-[k * n_ctx, d] rows give k features from one graph node, which pools
-each class's rows as a [k, n_ctx, d] mean and carries a hand-written
-backward rule for the context gradient.  A leading client axis runs
-several clients' class sets through the same node.
+whole class set at once: k embedding rows and their k pooled contexts,
+one [k, d] row per class as the translator returns them, give k
+features from one graph node, which carries a hand-written backward
+rule for the context gradient.  A leading client axis runs several
+clients' class sets through the same node.
 """
 
 from dataclasses import dataclass
@@ -200,18 +200,19 @@ def sample_raw(world: SyntheticWorld, class_ids, rng: np.random.Generator, n: in
 def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> DiffNode:
     """Classifier weights [..., k, d] for k classes given their prompt contexts.
 
-    class_emb holds k class-name embedding rows; ctx stacks each class's
-    n_ctx context vectors, class by class, as [..., k * n_ctx, d].  A
-    leading axis stacks clients, each with its own classes and contexts.
+    class_emb holds k class-name embedding rows; ctx holds each class's
+    pooled context, the mean of its context vectors, as [..., k, d].  A
+    context with another row count raises DimensionError.  A leading
+    axis stacks clients, each with its own classes and contexts.
     The two leads may also differ where they broadcast, and the result
     has the broadcast lead; backward() then refuses ctx's gradient
     unless that is ctx's own lead.  Leads that do not broadcast raise
     DimensionError.
-    Averages each class's context rows, pushes the result through the
-    frozen head, adds it to the class-name embedding, and renormalizes
-    each row (rows with norm below 1e-8 are divided by that epsilon
-    instead).  Returns one graph node whose backward rule gives the
-    gradient of ctx, its only parent.
+    Pushes each class's context row through the frozen head, adds the
+    result to the class-name embedding, and renormalizes each row (rows
+    with norm below 1e-8 are divided by that epsilon instead).  Returns
+    one graph node whose backward rule gives the gradient of ctx, its
+    only parent.
 
     Raises NumericError if any row norm is not finite, indexed by the
     first failing position along the leading axis.  A finite row can
@@ -224,15 +225,13 @@ def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> 
     c = ctx.value
     if c.shape[-1] != d:
         raise DimensionError(f"context width {c.shape} does not match embedding ({d})")
-    rows = c.shape[-2]
     if c.shape[:-2] != lead and not ag.leads_broadcast(c.shape[:-2], lead):
         raise DimensionError(
             f"context {c.shape} does not broadcast against embeddings {class_emb.shape}"
         )
-    if k < 1 or rows < k or rows % k:
-        raise DimensionError(f"context {c.shape} does not split into {k} classes")
-    n_ctx = rows // k
-    z = c.reshape(*c.shape[:-2], k, n_ctx, d).mean(axis=-2) @ head.W1
+    if k < 1 or c.shape[-2] != k:
+        raise DimensionError(f"context {c.shape} does not hold one row for each of {k} classes")
+    z = c @ head.W1
     s = ag.quick_gelu_gate(z)
     zs = z * s
     x = class_emb + zs @ head.W2
@@ -247,8 +246,7 @@ def text_feature(head: FrozenTextHead, class_emb: np.ndarray, ctx: DiffNode) -> 
             (g - y * (y * g).sum(axis=-1, keepdims=True)) / denom,
             g / L2_NORM_EPS,
         )
-        g_pooled = ((g_x @ head.W2.T) * ag.quick_gelu_slope(s, zs)) @ head.W1.T
-        return (np.repeat(g_pooled / n_ctx, n_ctx, axis=-2),)
+        return (((g_x @ head.W2.T) * ag.quick_gelu_slope(s, zs)) @ head.W1.T,)
 
     return DiffNode(y, (ctx,), rule, op="text_feature")
 

@@ -7,11 +7,14 @@ steps a round's clients in lockstep.  This module keeps the same map as
 a chain of small ops, each with its own textbook rule, so the tests can
 hold the fused nodes against it: scale, matmul, transpose, add,
 layer_norm, gelu, geglu and l2_normalize, plus translate_one,
-text_feature and class_text_features built from them with the constant
-0/1 tiling and pooling matmuls, and probe_sum to reduce a matrix node to
-a scalar.  class_logits is the per-client logits chain the package ran
-before its fused node: the package's features, transposed into a C-order
-copy, multiplied and scaled.
+pool, text_feature and class_text_features built from them with the
+constant 0/1 tiling and pooling matmuls, and probe_sum to reduce a
+matrix node to a scalar.  Here translate_one returns every class's
+n_ctx context rows and text_feature pools them; the package's
+translator node returns each class's mean row, which the tests hold to
+pool over translate_one.  class_logits is the per-client logits chain
+the package ran before its fused node: the package's features,
+transposed into a C-order copy, multiplied and scaled.
 
 The package steps and averages parameters in place, tensor by tensor,
 for a whole chunk of clients at once.  The same float operations written
@@ -169,7 +172,8 @@ def l2_normalize(x) -> DiffNode:
 
 
 def translate_one(params, cfg, emb: DiffNode) -> DiffNode:
-    """The translator block as small ops: [k, d] embeddings to [k * n_ctx, d]."""
+    """The translator block as small ops: [k, d] embeddings to k * n_ctx
+    context rows [k * n_ctx, d], class by class."""
     k, n = emb.shape[0], cfg.n_ctx
     value_rows = matmul(emb, params["W_v"])
     tiled = matmul(ag.constant(np.kron(np.eye(k), np.ones((n, 1)))), value_rows)
@@ -179,11 +183,16 @@ def translate_one(params, cfg, emb: DiffNode) -> DiffNode:
     return add(u, matmul(geglu(matmul(u_in, params["ffn_in"])), params["ffn_out"]))
 
 
-def text_feature(head, class_emb: np.ndarray, ctx: DiffNode) -> DiffNode:
-    """The frozen text head as small ops: pooled context to unit features."""
-    k = class_emb.shape[0]
+def pool(ctx: DiffNode, k: int) -> DiffNode:
+    """Each class's mean context row: [k * n_ctx, d] rows to [k, d]."""
     n_ctx = ctx.shape[0] // k
-    pooled = matmul(ag.constant(np.kron(np.eye(k), np.full((1, n_ctx), 1.0 / n_ctx))), ctx)
+    return matmul(ag.constant(np.kron(np.eye(k), np.full((1, n_ctx), 1.0 / n_ctx))), ctx)
+
+
+def text_feature(head, class_emb: np.ndarray, ctx: DiffNode) -> DiffNode:
+    """The frozen text head as small ops: context rows, pooled per class,
+    to unit features."""
+    pooled = pool(ctx, class_emb.shape[0])
     corr = matmul(gelu(matmul(pooled, ag.constant(head.W1))), ag.constant(head.W2))
     return l2_normalize(add(ag.constant(class_emb), corr))
 

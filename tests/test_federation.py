@@ -238,7 +238,7 @@ def loop_features(params, world, class_ids):
     for class_id in class_ids:
         emb = world.class_embeddings[class_id : class_id + 1]
         if params is None:
-            ctx = ag.constant(np.zeros((TRANS.n_ctx, TRANS.d_model)))
+            ctx = ag.constant(np.zeros((1, TRANS.d_model)))
         else:
             ctx = translate_one(params, TRANS, emb)
         feats.append(text_feature(world.head, emb, ctx))

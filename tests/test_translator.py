@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedprompt import autograd as ag
 from fedprompt.autograd import Parameter, ParameterSet
@@ -98,6 +99,11 @@ class TestInit:
         assert 0.015 < std < 0.025
 
 
+def pooled_reference(params, cfg, emb):
+    """Each class's mean row of the small-op block's context rows, [k, d]."""
+    return ref.pool(ref.translate_one(params, cfg, ag.constant(emb)), len(emb))
+
+
 class TestAttention:
     """Single-key attention reduces to one projected value row per query."""
 
@@ -107,7 +113,8 @@ class TestAttention:
         emb = np.random.default_rng(8).standard_normal((1, 16))
         out = translate_one(params, CFG16, emb).value
         row = (emb @ params["W_v"].value) @ params["W_o"].value
-        expected = params["queries"].value + np.repeat(row, 4, axis=0)
+        expected = params["queries"].value.mean(axis=0) + row
+        assert out.shape == (1, 16)
         assert np.max(np.abs(out - expected)) < 1e-12
 
 
@@ -116,7 +123,7 @@ class TestForward:
         params = init_translator_params(CFG16, 3)
         emb = np.random.default_rng(0).standard_normal((1, 16))
         out = translate_one(params, CFG16, emb)
-        assert np.array_equal(out.value, params["queries"].value)
+        assert np.array_equal(out.value, params["queries"].value.mean(axis=0, keepdims=True))
 
     def test_wrong_width_rejected(self):
         params = init_translator_params(CFG16, 3)
@@ -132,9 +139,12 @@ class TestForward:
                 translate_one(init_translator_params(cfg, 3), CFG16, emb)
 
     def test_batch_output_shape(self):
+        # one context row per class, for one client and for a stack of three
         params = init_translator_params(CFG16, 9)
         emb = np.random.default_rng(4).standard_normal((5, 16))
-        assert translate_one(params, CFG16, emb).shape == (20, 16)
+        assert translate_one(params, CFG16, emb).shape == (5, 16)
+        stacked = np.stack([emb] * 3)
+        assert translate_one(params.stacked(3), CFG16, stacked).shape == (3, 5, 16)
 
     def test_batch_rows_are_single_class_contexts(self):
         params = randomized_params(CFG16, 21)
@@ -142,7 +152,7 @@ class TestForward:
         batched = translate_one(params, CFG16, emb).value
         for i in range(3):
             one = translate_one(params, CFG16, emb[i : i + 1]).value
-            assert np.max(np.abs(batched[4 * i : 4 * i + 4] - one)) < 1e-12
+            assert np.max(np.abs(batched[i] - one[0])) < 1e-12
 
     def test_distinct_kv_give_distinct_context(self):
         params = randomized_params(CFG16, 41)
@@ -178,10 +188,15 @@ class TestMixedLeads:
             emb = emb + 0.01 * np.random.default_rng(11).standard_normal((4, 3, 16))
         mixed = lead_stacks(params, stacked, 4, 12)
         full = ParameterSet([p.twin(np.broadcast_to(p.value, (4, *p.shape[1:]))) for p in mixed])
-        got = translate_one(mixed, CFG16, emb).value
+        got = translate_one(mixed, CFG16, emb)
         want = translate_one(full, CFG16, np.broadcast_to(emb, (4, 3, 16))).value
-        assert got.shape == (4, 12, 16)
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == (4, 3, 16)
+        assert got.value.tobytes() == want.tobytes()
+        # every tensor at lead 1 gets its gradient at the stack's lead, which
+        # backward() refuses before the rule writes into an array of its own
+        probe = np.random.default_rng(13).standard_normal(got.shape)
+        with pytest.raises(DimensionError, match="does not match parent"):
+            ag.backward(ref.probe_sum(got, probe))
 
     def test_leads_that_do_not_broadcast_rejected(self):
         params = randomized_params(CFG16, 62)
@@ -209,7 +224,7 @@ class TestGradients:
         params = randomized_params(cfg, 51)
         kv = np.random.default_rng(6).standard_normal((1, 8))
         probe_rng = np.random.default_rng(7)
-        u = ag.constant(probe_rng.standard_normal((1, 2)))
+        u = ag.constant(probe_rng.standard_normal((1, 1)))
         v = ag.constant(probe_rng.standard_normal((8, 1)))
 
         def loss():
@@ -228,13 +243,59 @@ class TestGradients:
         params["ln2_gain"].set_value(1.0 + 0.5 * norm_rng.standard_normal(16))
         params["ln2_bias"].set_value(0.5 * norm_rng.standard_normal(16))
         rng = np.random.default_rng(9)
-        emb = Parameter("emb", rng.standard_normal((3, 16)))
-        probe = rng.standard_normal((12, 16))
-        out = translate_one(params, CFG16, emb.value)
+        emb = rng.standard_normal((3, 16))
+        probe = rng.standard_normal((3, 16))
+        out = translate_one(params, CFG16, emb)
         assert out.op == "translate" and len(out.parents) == 7
         ag.backward(ref.probe_sum(out, probe))
         fused = {name: p.grad.copy() for name, p in params.items()}
-        ag.backward(ref.probe_sum(ref.translate_one(params, CFG16, emb), probe))
+        pooled = pooled_reference(params, CFG16, emb)
+        assert np.max(np.abs(out.value - pooled.value)) / np.abs(pooled.value).max() < 1e-12
+        ag.backward(ref.probe_sum(pooled, probe))
         for name, p in params.items():
             scale = np.abs(p.grad).max()
             assert np.max(np.abs(fused[name] - p.grad)) / scale < 1e-12, name
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        n_ctx=st.integers(1, 4),
+        ffn_mult=st.integers(1, 3),
+        clients=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_output_and_gradients_match_reference(self, k, n_ctx, ffn_mult, clients, seed):
+        # clients None is a lone client; otherwise every tensor and the
+        # embeddings are stacked, each client's slice perturbed, and each
+        # slice is held to the reference run on that client alone
+        cfg = TranslatorConfig(d_model=6, n_ctx=n_ctx, ffn_mult=ffn_mult)
+        rng = np.random.default_rng(seed)
+        base = randomized_params(cfg, seed)
+        base["ln2_gain"].set_value(1.0 + 0.5 * rng.standard_normal(6))
+        base["ln2_bias"].set_value(0.5 * rng.standard_normal(6))
+        n = 1 if clients is None else clients
+        values = {name: p.value + 0.1 * rng.standard_normal((n, *p.shape))
+                  for name, p in base.items()}
+        emb = rng.standard_normal((n, k, 6))
+        probe = rng.standard_normal((n, k, 6))
+
+        def lone(x):
+            return x[0] if clients is None else x
+
+        params = ParameterSet([Parameter(name, lone(v)) for name, v in values.items()])
+        out = translate_one(params, cfg, lone(emb))
+        assert out.shape == lone(probe).shape
+        ag.backward(ref.probe_sum(out, lone(probe)))
+        got = out.value.reshape(n, k, 6)
+        grads = {name: p.grad.reshape(n, *base[name].shape) for name, p in params.items()}
+
+        def close(fused, want):
+            return np.max(np.abs(fused - want)) <= 1e-12 * np.abs(want).max()
+
+        for c in range(n):
+            one = ParameterSet([Parameter(name, v[c]) for name, v in values.items()])
+            pooled = pooled_reference(one, cfg, emb[c])
+            assert close(got[c], pooled.value)
+            ag.backward(ref.probe_sum(pooled, probe[c]))
+            for name, p in one.items():
+                assert close(grads[name][c], p.grad), name

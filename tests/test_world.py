@@ -236,16 +236,15 @@ def emb_rows(world, class_ids):
 
 class TestTextFeature:
     def test_zero_context_identity(self, world):
-        m = 4
         ids = range(0, 80, 7)
         emb = emb_rows(world, ids)
-        zero_ctx = ag.constant(np.zeros((m * len(emb), CFG.d)))
+        zero_ctx = ag.constant(np.zeros((len(emb), CFG.d)))
         feat = text_feature(world.head, emb, zero_ctx).value
         assert feat.shape == emb.shape
         assert np.max(np.abs(feat - emb)) < 1e-12
 
     def test_nonzero_context_moves_feature(self, world):
-        ctx = ag.constant(np.random.default_rng(4).standard_normal((4, CFG.d)))
+        ctx = ag.constant(np.random.default_rng(4).standard_normal((1, CFG.d)))
         emb = emb_rows(world, [0])
         feat = text_feature(world.head, emb, ctx).value
         assert np.max(np.abs(feat - emb)) > 1e-3
@@ -256,7 +255,7 @@ class TestTextFeature:
             text_feature(world.head, emb_rows(world, [0]), ag.constant(np.zeros((4, 16))))
 
     def test_one_context_row_per_class(self, world):
-        # n_ctx = 1: each class pools its single row, which is the mean
+        # each class's feature is its embedding plus the head of its one row
         emb = emb_rows(world, [3, 11])
         ctx = np.random.default_rng(12).standard_normal((2, CFG.d))
         feat = text_feature(world.head, emb, ag.constant(ctx)).value
@@ -266,28 +265,32 @@ class TestTextFeature:
         assert np.max(np.abs(feat - want)) < 1e-12
 
     def test_ctx_rows_must_split_into_classes(self, world):
+        # exactly one row per class: 12 rows (n_ctx = 4 for each class) are
+        # refused too, and so is a stack with one class too many
         emb = emb_rows(world, [0, 1, 2])
-        for rows in (4, 2, 0):
-            with pytest.raises(DimensionError):
+        for rows in (12, 4, 2, 0):
+            with pytest.raises(DimensionError, match="one row for each of 3 classes"):
                 text_feature(world.head, emb, ag.constant(np.zeros((rows, CFG.d))))
+        with pytest.raises(DimensionError, match="one row for each of 3 classes"):
+            text_feature(world.head, np.stack([emb] * 2), ag.constant(np.zeros((2, 4, CFG.d))))
 
     def test_classes_pool_only_their_own_rows(self, world):
         ids = [3, 8, 40]
-        ctx = np.random.default_rng(7).standard_normal((3 * 4, CFG.d))
+        ctx = np.random.default_rng(7).standard_normal((3, CFG.d))
         batched = text_feature(world.head, emb_rows(world, ids), ag.constant(ctx)).value
         for i, class_id in enumerate(ids):
             one = text_feature(
-                world.head, emb_rows(world, [class_id]), ag.constant(ctx[4 * i : 4 * i + 4])
+                world.head, emb_rows(world, [class_id]), ag.constant(ctx[i : i + 1])
             ).value
             assert np.max(np.abs(batched[i] - one[0])) < 1e-12
 
     def test_overflowing_squared_norm_raises(self, world):
         # a finite head output beyond about 1e154 overflows sum(x * x), and
         # dividing by that infinite norm would zero every feature
-        ctx = np.random.default_rng(8).standard_normal((2 * 4, CFG.d)) * 1e160
+        ctx = np.random.default_rng(8).standard_normal((2, CFG.d)) * 1e160
         emb = emb_rows(world, [3, 11])
         with np.errstate(over="ignore"):
-            z = ctx.reshape(2, 4, CFG.d).mean(axis=1) @ world.head.W1
+            z = ctx @ world.head.W1
             x = emb + (z * ag.quick_gelu_gate(z)) @ world.head.W2
             assert np.isfinite(x).all() and np.isinf((x * x).sum(axis=1)).all()
             with pytest.raises(NumericError, match="norm"):
@@ -299,12 +302,12 @@ class TestTextFeature:
         emb = np.broadcast_to(emb_rows(world, [3, 11]), (*emb_lead, 2, CFG.d))
         if emb_lead == (4,):
             emb = emb + 0.01 * rng.standard_normal(emb.shape)
-        ctx = rng.standard_normal((*ctx_lead, 2 * 4, CFG.d))
+        ctx = rng.standard_normal((*ctx_lead, 2, CFG.d))
         got = text_feature(world.head, emb, ag.constant(ctx)).value
         want = text_feature(
             world.head,
             np.broadcast_to(emb, (4, 2, CFG.d)),
-            ag.constant(np.broadcast_to(ctx, (4, 2 * 4, CFG.d))),
+            ag.constant(np.broadcast_to(ctx, (4, 2, CFG.d))),
         ).value
         assert got.shape == (4, 2, CFG.d)
         assert got.tobytes() == want.tobytes()
@@ -312,18 +315,18 @@ class TestTextFeature:
     def test_leads_that_do_not_broadcast_rejected(self, world):
         emb = np.broadcast_to(emb_rows(world, [3, 11]), (2, 2, CFG.d))
         with pytest.raises(DimensionError, match="broadcast"):
-            text_feature(world.head, emb, ag.constant(np.zeros((3, 2 * 4, CFG.d))))
+            text_feature(world.head, emb, ag.constant(np.zeros((3, 2, CFG.d))))
 
     def test_backward_refuses_context_gradient_at_another_lead(self, world):
         emb = np.broadcast_to(emb_rows(world, [3, 11]), (3, 2, CFG.d))
-        ctx = ag.constant(np.random.default_rng(10).standard_normal((1, 2 * 4, CFG.d)))
+        ctx = ag.constant(np.random.default_rng(10).standard_normal((1, 2, CFG.d)))
         feats = text_feature(world.head, emb, ctx)
         probe = np.random.default_rng(11).standard_normal(feats.shape)
         with pytest.raises(DimensionError, match="does not match parent"):
             ag.backward(ref.probe_sum(feats, probe))
 
     def test_gradient_reaches_context(self, world):
-        ctx = Parameter("ctx", np.random.default_rng(5).standard_normal((8, CFG.d)) * 0.1)
+        ctx = Parameter("ctx", np.random.default_rng(5).standard_normal((2, CFG.d)) * 0.1)
         params = ParameterSet([ctx])
         emb = emb_rows(world, [3, 11])
         probe = np.random.default_rng(6).standard_normal((CFG.d, 1))
@@ -338,7 +341,7 @@ class TestTextFeature:
         # a zero class embedding with zero context gives a zero row, which
         # is divided by L2_NORM_EPS; a step of 1e-13 keeps the perturbed
         # rows below it, so the differences take that branch too
-        ctx = Parameter("ctx", np.zeros((4, CFG.d)))
+        ctx = Parameter("ctx", np.zeros((1, CFG.d)))
         params = ParameterSet([ctx])
         emb = np.zeros((1, CFG.d))
         probe = np.random.default_rng(13).standard_normal((1, CFG.d))
