@@ -25,6 +25,7 @@ from fedprompt.config import (
     KEYS,
     apply_overrides,
     build_config,
+    build_run,
     canonical_text,
     extract_round,
     load_config,
@@ -40,7 +41,6 @@ from fedprompt.diagnostics import (
 from fedprompt.errors import ContractError, FormatError, NumericError
 from fedprompt.evaluation import evaluate_both_splits
 from fedprompt.federation import run_training
-from fedprompt.partition import build_client_dataset, partition_classes
 from fedprompt.reporting import (
     compare_to_reference,
     comparison_csv,
@@ -52,7 +52,7 @@ from fedprompt.reporting import (
     summary_csv,
     summary_json,
 )
-from fedprompt.translator import init_translator_params, translator_schema
+from fedprompt.translator import translator_schema
 from fedprompt.world import build_world
 
 # generated from the key registry so this listing cannot drift from
@@ -127,15 +127,7 @@ def _cmd_train(args) -> int:
     a = p.parse_args(args)
     _refuse_shared_paths(a, ("--checkpoint", "--log"), ("--config",))
     cfg = load_config(a.config, a.overrides)
-    world = build_world(cfg.world)
-    blocks = partition_classes(
-        cfg.world.n_base, cfg.n_clients, cfg.classes_per_client, cfg.master_seed
-    )
-    datasets = {
-        cid: build_client_dataset(world, block, cfg.shots, cfg.master_seed, cid)
-        for cid, block in enumerate(blocks)
-    }
-    init = init_translator_params(cfg.translator, cfg.master_seed)
+    world, datasets, init = build_run(cfg)
     echo = canonical_text(cfg)
 
     # append mode opens a bad path before any work but keeps the previous

@@ -11,6 +11,9 @@ a float, so every value is one number.
 canonical_text() serializes a config as sorted key=value lines; that
 text is what checkpoints embed, and parsing it back reproduces the
 config exactly.
+
+build_run() turns a config into what a run starts from: the world, the
+per-client datasets and the initial parameters.
 """
 
 import dataclasses
@@ -20,8 +23,9 @@ from typing import Iterable
 
 from fedprompt.errors import ConfigError
 from fedprompt.federation import OptimizerConfig
-from fedprompt.translator import TranslatorConfig
-from fedprompt.world import WorldConfig
+from fedprompt.partition import build_client_dataset, partition_classes
+from fedprompt.translator import TranslatorConfig, init_translator_params
+from fedprompt.world import WorldConfig, build_world
 
 
 @dataclass(frozen=True)
@@ -190,6 +194,26 @@ def load_config(path=None, overrides: Iterable[str] = ()) -> ExperimentConfig:
             raise ConfigError(f"{path}: not UTF-8 text (at byte offset {e.start})") from None
         values = parse_config_text(text, source=str(path))
     return build_config(apply_overrides(values, overrides))
+
+
+def build_run(cfg: ExperimentConfig):
+    """(world, datasets, init_params): what a run of cfg starts from.
+
+    The world comes from cfg.world, the base classes are split into one
+    disjoint block per client, datasets maps each client id to the
+    few-shot set of its block, and init_params is the translator's
+    initial parameter set.  Everything derives from cfg.master_seed, so
+    one config always gives the same bytes.
+    """
+    world = build_world(cfg.world)
+    blocks = partition_classes(
+        cfg.world.n_base, cfg.n_clients, cfg.classes_per_client, cfg.master_seed
+    )
+    datasets = {
+        cid: build_client_dataset(world, block, cfg.shots, cfg.master_seed, cid)
+        for cid, block in enumerate(blocks)
+    }
+    return world, datasets, init_translator_params(cfg.translator, cfg.master_seed)
 
 
 def config_values(cfg: ExperimentConfig) -> dict[str, object]:

@@ -19,7 +19,7 @@ import pytest
 import fedprompt
 from fedprompt.autograd import Parameter, ParameterSet
 from fedprompt.cli import main
-from fedprompt.config import load_config
+from fedprompt.config import build_run, load_config
 from fedprompt.container import load_checkpoint, save_checkpoint
 from fedprompt.diagnostics import (
     GRADCHECK_TOLERANCE,
@@ -36,10 +36,9 @@ from fedprompt.federation import (
     local_update,
     run_training,
 )
-from fedprompt.partition import build_client_dataset, partition_classes
 from fedprompt.reporting import compare_to_reference, fixture_results, fmt2, summarize
 from fedprompt.seeding import rng_for
-from fedprompt.translator import TranslatorConfig, init_translator_params
+from fedprompt.translator import TranslatorConfig
 from fedprompt.world import WorldConfig, build_world
 
 GRADCHECK_TIME_BUDGET_S = 10.0
@@ -141,20 +140,17 @@ def test_centralized_equivalence():
             f"master_seed={seed}",
         ],
     )
-    world = build_world(cfg.world)
-    blocks = partition_classes(cfg.world.n_base, 1, cfg.classes_per_client, seed)
-    dataset = build_client_dataset(world, blocks[0], cfg.shots, seed, 0)
-    init = init_translator_params(cfg.translator, seed)
+    world, datasets, init = build_run(cfg)
 
     federated, _ = run_training(
-        world, {0: dataset}, cfg.optimizer, cfg.translator, init, rounds, 1, 1.0, seed
+        world, datasets, cfg.optimizer, cfg.translator, init, rounds, 1, 1.0, seed
     )
 
     params = init
     for t in range(rounds):
         lr = cosine_lr(cfg.optimizer.lr0, t, rounds)
         (upd,) = local_update(
-            params, world, [dataset], cfg.optimizer, cfg.translator, 1, lr,
+            params, world, [datasets[0]], cfg.optimizer, cfg.translator, 1, lr,
             [rng_for(seed, "local", t, 0)], [0],
         )
         params = upd.params
@@ -195,15 +191,7 @@ def test_fixture_arithmetic():
 def test_synthetic_learning_beats_baseline():
     start = time.perf_counter()
     cfg = load_config(None, [f"master_seed={LEARNING_MASTER_SEED}"])
-    world = build_world(cfg.world)
-    blocks = partition_classes(
-        cfg.world.n_base, cfg.n_clients, cfg.classes_per_client, cfg.master_seed
-    )
-    datasets = {
-        cid: build_client_dataset(world, block, cfg.shots, cfg.master_seed, cid)
-        for cid, block in enumerate(blocks)
-    }
-    init = init_translator_params(cfg.translator, cfg.master_seed)
+    world, datasets, init = build_run(cfg)
     params, _ = run_training(
         world, datasets, cfg.optimizer, cfg.translator, init,
         cfg.rounds, cfg.local_epochs, cfg.fraction, cfg.master_seed,

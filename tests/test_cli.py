@@ -177,6 +177,18 @@ class TestReadme:
         names = [n.strip() for n in imported.group(1).split(",") if n.strip()]
         assert sorted(names) == sorted(set(fedprompt.__all__) - {"main"})
 
+    def test_library_example_runs(self, tmp_path, monkeypatch, capsys):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        example = readme.split("\n## Library use\n", 1)[1].split("```")[1]
+        lang, code = example.split("\n", 1)
+        assert lang == "python"
+        monkeypatch.chdir(tmp_path)
+        exec(compile(code, "README.md", "exec"), {})
+        base, new = (float(x) for x in capsys.readouterr().out.split())
+        assert 0.0 <= base <= 100.0 and 0.0 <= new <= 100.0
+        assert list(tmp_path.iterdir()) == []
+
     def test_code_blocks_show_exactly_the_commands(self):
         root = Path(__file__).resolve().parents[1]
         readme = (root / "README.md").read_text(encoding="utf-8")
@@ -203,6 +215,24 @@ class TestDependencies:
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stdout + done.stderr
         assert "scipy" not in done.stderr
+
+
+class TestBlasKernels:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.skipif(not _openblas_dynamic_arch(),
+                        reason="numpy's BLAS cannot switch kernels")
+    @pytest.mark.parametrize("kernel", ["Haswell", "SandyBridge"])
+    def test_gradient_tests_pass_under_forced_kernel(self, kernel):
+        # these kernels round products differently from the AVX-512 one,
+        # and OpenBLAS picks Haswell on any AVX2 host without AVX-512; a
+        # reference difference too close to its roundoff fails there first
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": str(self.ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", "grad",
+             "tests/test_translator.py", "tests/test_world.py"],
+            cwd=self.ROOT, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestTrain:

@@ -9,6 +9,7 @@ from fedprompt.config import (
     ExperimentConfig,
     apply_overrides,
     build_config,
+    build_run,
     canonical_text,
     config_values,
     default_values,
@@ -19,8 +20,9 @@ from fedprompt.config import (
 )
 from fedprompt.errors import ConfigError
 from fedprompt.federation import OptimizerConfig
-from fedprompt.translator import TranslatorConfig
-from fedprompt.world import WorldConfig
+from fedprompt.partition import build_client_dataset, partition_classes
+from fedprompt.translator import TranslatorConfig, init_translator_params
+from fedprompt.world import WorldConfig, build_world
 
 
 class TestDefaults:
@@ -290,6 +292,30 @@ class TestRoundMarker:
 
     def test_missing_marker_gives_none(self):
         assert extract_round(canonical_text(ExperimentConfig())) is None
+
+
+def test_build_run_matches_the_chain_by_hand():
+    # a config off every default the chain reads, so a step given the
+    # wrong key or seed cannot match by accident
+    cfg = load_config(None, ["world.d=16", "federation.n_clients=3",
+                             "federation.classes_per_client=4", "federation.shots=2",
+                             "master_seed=7"])
+    world, datasets, init = build_run(cfg)
+
+    want_world = build_world(cfg.world)
+    blocks = partition_classes(cfg.world.n_base, 3, 4, 7)
+    want = [build_client_dataset(want_world, block, 2, 7, cid) for cid, block in enumerate(blocks)]
+    want_init = init_translator_params(cfg.translator, 7)
+
+    assert world.class_embeddings.tobytes() == want_world.class_embeddings.tobytes()
+    assert list(datasets) == [0, 1, 2]
+    for cid, ds in datasets.items():
+        assert ds.class_ids == want[cid].class_ids
+        assert ds.images.tobytes() == want[cid].images.tobytes()
+        assert ds.labels.tobytes() == want[cid].labels.tobytes()
+    assert init.schema() == want_init.schema()
+    for name, p in init.items():
+        assert p.value.tobytes() == want_init[name].value.tobytes(), name
 
 
 def test_config_is_frozen():

@@ -231,7 +231,9 @@ class TestGradients:
             out = translate_one(params, cfg, kv)
             return ref.matmul(ref.matmul(u, out), v)
 
-        assert ref.grad_check(loss, params) < 1e-6
+        # the plain central difference at h = 1e-5 reads 1.02e-6 here under
+        # the Haswell, SandyBridge and Nehalem BLAS kernels, all roundoff
+        assert ref.richardson_grad_check(loss, params) < 1e-6
 
     def test_every_gradient_matches_reference_at_three_classes(self):
         # the block is one node whose parents are the seven parameters; the
